@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.config import LocatorConfig
 from repro.core.hub_detector import detect_new_hubs
+from repro.core.nputil import flat_gather
 from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
 from repro.core.tp_bfs_batched import TASK_OUTCOME_CODES, execute_round_batched
 from repro.core.types import (
@@ -126,14 +127,7 @@ class IslandLocator:
         with or without a callback (and identical to what a pre-stream
         monolithic run produced: the stream *is* the implementation).
         """
-        stream = self.stream(graph)
-        while True:
-            try:
-                chunk = next(stream)
-            except StopIteration as stop:
-                return stop.value
-            if on_round is not None:
-                on_round(chunk)
+        return _drain(self.stream(graph), on_round)
 
     def stream(
         self,
@@ -176,19 +170,54 @@ class IslandLocator:
                 "islandize expects a graph without self-loops; call "
                 "graph.without_self_loops() first"
             )
+        degrees = graph.degrees.astype(np.int64)
+        return (yield from self._rounds(
+            graph, degrees, self.config.initial_threshold(degrees), tap=tap
+        ))
+
+    def _rounds(
+        self,
+        graph: CSRGraph,
+        degrees: np.ndarray,
+        threshold: int,
+        *,
+        hubs0: np.ndarray | None = None,
+        imports: tuple[np.ndarray, np.ndarray] | None = None,
+        tap: Callable[..., None] | None = None,
+    ) -> Generator[RoundOutput, None, IslandizationResult]:
+        """The round loop of Algorithm 1, from ``threshold`` onwards.
+
+        :meth:`stream` runs it on a whole graph.  Incremental
+        islandization runs it on an extracted dirty region, which
+        differs from a whole graph in three inputs, each exact against
+        the full run's restriction to the region:
+
+        * ``degrees`` are the nodes' *global* degrees: they drive hub
+          detection and the scalar backend's hub-contact tests, so a
+          node whose local row is truncated still reads as a hub;
+        * ``hubs0`` (boolean mask) marks boundary hubs that start
+          classified as hubs — their detection belongs to the clean
+          side, so they never appear in the result's hub list;
+        * ``imports`` ``(hubs, seeds)`` are clean hubs' round-1 tasks
+          that target region nodes, merged into round 1's queue in
+          ``(hub, seed)`` order (the full run's relative task order);
+          each adds its 4-byte queue entry but no hub fetch.
+        """
         config = self.config
         batched = config.backend == "batched"
         n = graph.num_nodes
-        degrees = graph.degrees.astype(np.int64)
-        classified = np.zeros(n, dtype=bool)
-        is_hub = np.zeros(n, dtype=bool)
-        num_classified = 0
+        classified = (
+            np.zeros(n, dtype=bool) if hubs0 is None else hubs0.copy()
+        )
+        is_hub = classified.copy()
+        num_classified = int(classified.sum())
         # Scalar backend: persistent v_global stamp array.  Batched
         # backend: per-entry CSR source ids shared by every round's
         # component labelling (built once: the graph is immutable).
         visited_round = None if batched else np.zeros(n, dtype=np.int64)
         csr_rows = (
-            np.repeat(np.arange(n, dtype=np.int64), degrees) if batched else None
+            np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+            if batched else None
         )
         csr_lists: dict = {}  # lazily filled list-CSR cache for walks
 
@@ -205,7 +234,6 @@ class IslandLocator:
         total_detect = 0
         total_scans = 0
 
-        threshold = config.initial_threshold(degrees)
         round_id = 1
         while num_classified < n:
             if round_id > _MAX_ROUNDS:
@@ -237,15 +265,16 @@ class IslandLocator:
             # entry of each new hub, emitted hub-major with neighbours
             # in row (sorted) order — the exact sequence a scalar
             # per-hub loop would produce, so round stats are unchanged.
-            starts = graph.indptr[new_hubs]
-            counts = graph.indptr[new_hubs + 1] - starts
-            total_tasks = int(counts.sum())
-            prefix = np.cumsum(counts) - counts
-            flat = np.arange(total_tasks, dtype=np.int64) + np.repeat(
-                starts - prefix, counts
-            )
+            flat, counts, _ = flat_gather(graph.indptr, new_hubs)
             task_hubs = np.repeat(new_hubs, counts)
             task_seeds = graph.indices[flat]
+            if round_id == 1 and imports is not None:
+                task_hubs = np.concatenate([task_hubs, imports[0]])
+                task_seeds = np.concatenate([task_seeds, imports[1]])
+                order = np.lexsort((task_seeds, task_hubs))
+                task_hubs = task_hubs[order]
+                task_seeds = task_seeds[order]
+            total_tasks = len(task_hubs)
             taskgen_fetches = len(new_hubs)
             taskgen_bytes = total_tasks * 4
 
@@ -450,6 +479,23 @@ class IslandLocator:
         tally.fetches = state.adjacency_fetches
         tally.bytes = state.adjacency_bytes
         return newly_classified
+
+
+def _drain(
+    stream: Generator[RoundOutput, None, IslandizationResult],
+    on_round: Callable[[RoundOutput], None] | None = None,
+) -> IslandizationResult:
+    """Run a locator stream to completion, returning its result.
+
+    ``on_round`` (optional) sees each round's chunk as it is yielded.
+    """
+    while True:
+        try:
+            chunk = next(stream)
+        except StopIteration as stop:
+            return stop.value
+        if on_round is not None:
+            on_round(chunk)
 
 
 def islandize(

@@ -39,11 +39,13 @@ Folding the counters without re-running the old graph
 -----------------------------------------------------
 Every per-round counter folds as ``new = cached − old_dirty +
 new_dirty``.  ``new_dirty`` comes from one locator *sub-run* on the
-dirty region extracted from the mutated graph.  ``old_dirty`` needs no
-run at all: the recorded state carries a full per-task log (hub, seed,
-scans, fetches, bytes, outcome — in task order) plus each node's
-classification round, so the old run's restriction to the dirty
-region is a vectorized filter:
+dirty region extracted from the mutated graph — the locator's own
+round loop (``IslandLocator._rounds``), seeded with the region's
+boundary hubs and the clean hubs' imported round-1 tasks.
+``old_dirty`` needs no run at all: the recorded state carries a full
+per-task log (hub, seed, scans, fetches, bytes, outcome — in task
+order) plus each node's classification round, so the old run's
+restriction to the dirty region is a vectorized filter:
 
 * a task belongs to the dirty side iff its generating hub or its seed
   is dirty (a nonzero-scan task's walk is confined to its seed's
@@ -62,31 +64,29 @@ sub-run's log and the nonzero-scan entries are replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import IO, Callable, Generator
 
 import heapq
 
 import numpy as np
 
 from repro.core.config import LocatorConfig
-from repro.core.hub_detector import detect_new_hubs
-from repro.core.islandizer import _NO_HUBS, IslandLocator
-from repro.core.nputil import cumsum0
-from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
+from repro.core.islandizer import IslandLocator, _drain
+from repro.core.nputil import cumsum0, flat_gather
 from repro.core.tp_bfs_batched import (
     TASK_CMAX,
-    TASK_OUTCOME_CODES,
     TASK_SEED_HUB,
     TASK_VISITED,
     _component_labels,
-    execute_round_batched,
 )
 from repro.core.types import (
     ROUND_FIELDS,
     Island,
     IslandizationResult,
     LocatorWork,
+    RoundOutput,
     RoundStats,
 )
 from repro.errors import IslandizationError
@@ -108,6 +108,13 @@ _ADDITIVE_FIELDS: tuple[str, ...] = tuple(
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY8 = np.zeros(0, dtype=np.int8)
+
+#: The task-log columns of :class:`IncrementalState`, in log-matrix row
+#: order.
+_LOG_FIELDS: tuple[str, ...] = (
+    "log_hubs", "log_seeds", "log_scans", "log_fetches", "log_bytes",
+    "log_outcomes",
+)
 
 
 @dataclass(frozen=True)
@@ -272,12 +279,64 @@ def _chunk_metadata(
     return winners, seed0, sizes, member_arrays
 
 
-def _round1_labels(graph: CSRGraph, th0: int) -> np.ndarray:
-    """Component labels of the graph minus its TH0 hubs (-1 on hubs)."""
-    degrees = graph.degrees.astype(np.int64)
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), degrees)
+def _round1_labels(graph: CSRGraph, degrees: np.ndarray, th0: int) -> np.ndarray:
+    """Component labels of ``graph`` minus its TH0 hubs (-1 on hubs).
+
+    ``degrees`` decide hub status (global degrees for a region).
+    """
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
     labels, _, _ = _component_labels(graph, rows, degrees < th0)
     return labels
+
+
+def _record(
+    start: Callable[..., Generator[RoundOutput, None, IslandizationResult]],
+    num_nodes: int,
+) -> tuple[IslandizationResult, dict[str, np.ndarray]]:
+    """Drain a locator round loop, capturing its incremental bookkeeping.
+
+    ``start(tap=...)`` must return a fresh locator stream.  Returns the
+    stream's result plus every :class:`IncrementalState` array except
+    ``comp_labels``, in the stream's own node ids.
+    """
+    log: list[tuple[np.ndarray, ...]] = []
+    meta: list[tuple[np.ndarray, ...]] = []
+    class_round = np.full(num_nodes, -1, dtype=np.int64)
+
+    def tap(round_id: int, *arrays: np.ndarray) -> None:
+        log.append(arrays)
+
+    def on_round(chunk: RoundOutput) -> None:
+        winners, seed0, sizes, member_arrays = _chunk_metadata(
+            chunk.islands, log[-1][0], log[-1][1]
+        )
+        rounds = np.full(len(winners), chunk.round_id, dtype=np.int64)
+        meta.append((rounds, seed0, sizes, winners))
+        if member_arrays:
+            class_round[np.concatenate(member_arrays)] = chunk.round_id
+        class_round[chunk.new_hub_ids] = chunk.round_id
+
+    result = _drain(start(tap=tap), on_round)
+
+    def cat(parts: list, idx: int, empty: np.ndarray = _EMPTY) -> np.ndarray:
+        return np.concatenate([p[idx] for p in parts]) if parts else empty
+
+    return result, {
+        "class_round": class_round,
+        "island_round": cat(meta, 0),
+        "island_seed": cat(meta, 1),
+        "island_size": cat(meta, 2),
+        "winner_hubs": cat(meta, 3),
+        "log_hubs": cat(log, 0),
+        "log_seeds": cat(log, 1),
+        "log_scans": cat(log, 2),
+        "log_fetches": cat(log, 3),
+        "log_bytes": cat(log, 4),
+        "log_outcomes": cat(log, 5, _EMPTY8),
+        "log_offsets": cumsum0(
+            np.asarray([len(entry[0]) for entry in log], dtype=np.int64)
+        ),
+    }
 
 
 def record_islandization(
@@ -296,62 +355,13 @@ def record_islandization(
         )
 
         return record_islandization_partitioned(graph, config)
-    rounds_log: list[tuple[np.ndarray, ...]] = []
-
-    def tap(round_id: int, hubs: np.ndarray, seeds: np.ndarray,
-            scans: np.ndarray, fetches: np.ndarray, nbytes: np.ndarray,
-            outcomes: np.ndarray) -> None:
-        rounds_log.append((hubs, seeds, scans, fetches, nbytes, outcomes))
-
-    n = graph.num_nodes
-    class_round = np.full(n, -1, dtype=np.int64)
-    winner_parts: list[np.ndarray] = []
-    seed_parts: list[np.ndarray] = []
-    size_parts: list[np.ndarray] = []
-    round_parts: list[np.ndarray] = []
-    stream = IslandLocator(config).stream(graph, tap=tap)
-    while True:
-        try:
-            chunk = next(stream)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        hubs, seeds = rounds_log[-1][0], rounds_log[-1][1]
-        winners, seed0, sizes, member_arrays = _chunk_metadata(
-            chunk.islands, hubs, seeds
-        )
-        winner_parts.append(winners)
-        seed_parts.append(seed0)
-        size_parts.append(sizes)
-        round_parts.append(
-            np.full(len(chunk.islands), chunk.round_id, dtype=np.int64)
-        )
-        if member_arrays:
-            class_round[np.concatenate(member_arrays)] = chunk.round_id
-        class_round[chunk.new_hub_ids] = chunk.round_id
-
-    def _cat(idx: int, empty: np.ndarray = _EMPTY) -> np.ndarray:
-        parts = [entry[idx] for entry in rounds_log]
-        return np.concatenate(parts) if parts else empty
-
-    th0 = config.initial_threshold(graph.degrees.astype(np.int64))
+    result, arrays = _record(
+        partial(IslandLocator(config).stream, graph), graph.num_nodes
+    )
+    degrees = graph.degrees.astype(np.int64)
+    th0 = int(config.initial_threshold(degrees))
     state = IncrementalState(
-        th0=int(th0),
-        comp_labels=_round1_labels(graph, th0),
-        class_round=class_round,
-        island_round=np.concatenate(round_parts) if round_parts else _EMPTY,
-        island_seed=np.concatenate(seed_parts) if seed_parts else _EMPTY,
-        island_size=np.concatenate(size_parts) if size_parts else _EMPTY,
-        winner_hubs=np.concatenate(winner_parts) if winner_parts else _EMPTY,
-        log_hubs=_cat(0),
-        log_seeds=_cat(1),
-        log_scans=_cat(2),
-        log_fetches=_cat(3),
-        log_bytes=_cat(4),
-        log_outcomes=_cat(5, _EMPTY8),
-        log_offsets=cumsum0(
-            np.asarray([len(entry[0]) for entry in rounds_log], dtype=np.int64)
-        ),
+        th0=th0, comp_labels=_round1_labels(graph, degrees, th0), **arrays
     )
     return result, state
 
@@ -362,14 +372,7 @@ def record_islandization(
 def _neighbor_mask(graph: CSRGraph, nodes: np.ndarray) -> np.ndarray:
     """Boolean mask of every neighbour of ``nodes`` (one CSR gather)."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
-    if len(nodes) == 0:
-        return mask
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    prefix = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
-    mask[graph.indices[flat]] = True
+    mask[graph.indices[flat_gather(graph.indptr, nodes)[0]]] = True
     return mask
 
 
@@ -459,282 +462,78 @@ def _dirty_region(
     return dn_mask, boundary, region, hub_hub_pairs(ins_keys), hub_hub_pairs(del_keys)
 
 
-def _extract_region(
-    graph: CSRGraph, region: np.ndarray, reg_mask: np.ndarray
-) -> CSRGraph:
-    """Induced subgraph on ``region`` with order-preserving relabels.
-
-    Region ids are sorted, so local ids are monotone in global ids:
-    sorted adjacency, lexicographic task order and BFS discovery order
-    all transfer between the sub-run and the full run unchanged.
-    """
-    m = len(region)
-    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
-    relabel[region] = np.arange(m, dtype=np.int64)
-    starts = graph.indptr[region]
-    counts = graph.indptr[region + 1] - starts
-    total = int(counts.sum())
-    prefix = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
-    cols = graph.indices[flat]
-    keep = reg_mask[cols]
-    row_ids = np.repeat(np.arange(m, dtype=np.int64), counts)[keep]
-    sub_cols = relabel[cols[keep]]
-    indptr = cumsum0(np.bincount(row_ids, minlength=m).astype(np.int64))
-    return CSRGraph(indptr=indptr, indices=sub_cols, name=f"{graph.name}-dirty")
-
-
 # ----------------------------------------------------------------------
 # Sub-run on the extracted region
 # ----------------------------------------------------------------------
-@dataclass
-class _SubRound:
-    """One sub-run round, reported in global node ids."""
+@dataclass(frozen=True)
+class _SubRun:
+    """The locator's run on the dirty region, in global node ids.
 
-    threshold: int
-    singles: np.ndarray                                   # ascending
-    islands: list[tuple[np.ndarray, np.ndarray]]          # (members, hubs)
-    isl_seed: np.ndarray                                  # members[0] per island
-    isl_size: np.ndarray
-    isl_winner: np.ndarray                                # winning-task hub
-    islanded: np.ndarray                                  # all members, concat
-    new_hubs: np.ndarray                                  # ascending
-    stats: dict[str, int]                                 # _ADDITIVE_FIELDS
-    interhub: np.ndarray                                  # (k, 2) new this round
-    log_hubs: np.ndarray                                  # full task log,
-    log_seeds: np.ndarray                                 # global ids,
-    log_scans: np.ndarray                                 # task order
-    log_fetches: np.ndarray
-    log_bytes: np.ndarray
-    log_outcomes: np.ndarray
-    scans_total: int
+    ``rounds`` and ``bfs_scans`` are the sub-run result's statistics
+    and scan total; ``record`` is its :func:`_record` bookkeeping
+    (``class_round`` indexed by region position, ``-1`` on boundary
+    hubs).
+    """
 
-
-_MAX_SUB_ROUNDS = 1000
+    rounds: list[RoundStats]
+    bfs_scans: int
+    islands: list[Island]
+    hub_ids: np.ndarray
+    hub_round: np.ndarray
+    interhub_edges: np.ndarray
+    record: dict[str, np.ndarray]
 
 
 def _run_sub(
     sub: CSRGraph,
-    gids: np.ndarray,
-    deg_global: np.ndarray,
-    boundary_local: np.ndarray,
-    imported_hubs: np.ndarray,
-    imported_seeds: np.ndarray,
+    region: np.ndarray,
+    degrees: np.ndarray,
+    hubs0: np.ndarray,
+    imports: tuple[np.ndarray, np.ndarray],
     config: LocatorConfig,
     th0: int,
-) -> list[_SubRound]:
-    """Replay the locator's round loop on the extracted dirty region.
+) -> _SubRun:
+    """Run the locator's own round loop on the extracted dirty region.
 
-    Mirrors ``IslandLocator.stream`` with three differences that keep
-    it exact against the full run's restriction to the region:
-
-    * boundary hubs start classified/hub (their detection belongs to
-      the clean side) and all threshold tests use **global** degrees
-      (``deg_global``, local-indexed), so a boundary hub whose local
-      row is truncated still reads as a hub to scalar BFS contact
-      tests;
-    * the round-1 task queue merges the imported tasks — clean
-      boundary hubs' Th2 tasks that target dirty nodes — into the
-      region-generated queue in global ``(hub, seed)`` order, which is
-      the full run's relative task order; imported tasks contribute
-      their 4-byte queue entries but not their hub's adjacency fetch
-      (that belongs to the clean side);
-    * inter-hub dedup is local to the sub-run: every edge it can find
-      has a dirty endpoint, disjoint from the cached clean-clean set.
-
-    ``th0`` is the full run's resolved TH0 (the region alone cannot
-    reproduce the degree-quantile default).
+    ``sub`` is the region's induced subgraph (local id ``i`` is global
+    ``region[i]``; region ids are sorted, so sorted adjacency,
+    lexicographic task order and BFS discovery order all transfer
+    between the sub-run and the full run unchanged).  ``degrees`` are
+    the region's global degrees, ``hubs0`` its boundary hubs and
+    ``imports`` the clean boundary hubs' round-1 tasks into the dirty
+    set, all local (see ``IslandLocator._rounds``).  ``th0`` is the
+    full run's resolved TH0 — the region alone cannot reproduce the
+    degree-quantile default.  Inter-hub dedup is local to the sub-run:
+    every edge it finds has a dirty endpoint, disjoint from the cached
+    clean-clean set.
     """
-    batched = config.backend == "batched"
-    m = sub.num_nodes
-    classified = boundary_local.copy()
-    is_hub = boundary_local.copy()
-    num_classified = int(classified.sum())
-    visited_round = None if batched else np.zeros(m, dtype=np.int64)
-    csr_rows = (
-        np.repeat(np.arange(m, dtype=np.int64), sub.degrees) if batched else None
+    result, record = _record(
+        partial(
+            IslandLocator(config)._rounds, sub, degrees, th0,
+            hubs0=hubs0, imports=imports,
+        ),
+        sub.num_nodes,
     )
-    csr_lists: dict = {}
-    interhub_keys = _EMPTY
-    interhub_seen: set[tuple[int, int]] = set()
-
-    out: list[_SubRound] = []
-    threshold = th0
-    round_id = 1
-    while num_classified < m:
-        if round_id > _MAX_SUB_ROUNDS:
-            raise IslandizationError(
-                f"incremental sub-run failed to converge after "
-                f"{_MAX_SUB_ROUNDS} rounds"
+    winners = record["winner_hubs"]
+    winners[winners >= 0] = region[winners[winners >= 0]]
+    for key in ("island_seed", "log_hubs", "log_seeds"):
+        record[key] = region[record[key]]
+    return _SubRun(
+        rounds=result.rounds,
+        bfs_scans=result.work.total_bfs_scans,
+        islands=[
+            Island.from_trusted_arrays(
+                round_id=isl.round_id,
+                members=region[isl.members],
+                hubs=region[isl.hubs],
             )
-        detection = detect_new_hubs(deg_global, classified, threshold)
-        new_hubs = detection.new_hubs
-        classified[new_hubs] = True
-        is_hub[new_hubs] = True
-        num_classified += len(new_hubs)
-        isolated = detection.isolated
-        classified[isolated] = True
-        num_classified += len(isolated)
-
-        starts = sub.indptr[new_hubs]
-        counts = sub.indptr[new_hubs + 1] - starts
-        total_gen = int(counts.sum())
-        prefix = np.cumsum(counts) - counts
-        flat = np.arange(total_gen, dtype=np.int64) + np.repeat(
-            starts - prefix, counts
-        )
-        task_hubs = np.repeat(new_hubs, counts)
-        task_seeds = sub.indices[flat]
-        if round_id == 1 and len(imported_hubs):
-            task_hubs = np.concatenate([task_hubs, imported_hubs])
-            task_seeds = np.concatenate([task_seeds, imported_seeds])
-            order = np.lexsort((task_seeds, task_hubs))
-            task_hubs = task_hubs[order]
-            task_seeds = task_seeds[order]
-        total_tasks = len(task_hubs)
-        taskgen_fetches = len(new_hubs)
-        taskgen_bytes = total_tasks * 4
-
-        islands_local: list[tuple[np.ndarray, np.ndarray]] = []
-        task_scans = np.zeros(total_tasks, dtype=np.int64)
-        task_fetches = np.zeros(total_tasks, dtype=np.int64)
-        task_bytes = np.zeros(total_tasks, dtype=np.int64)
-        task_outcomes = np.full(total_tasks, TASK_VISITED, dtype=np.int8)
-        new_pairs: list[tuple[int, int]] = []
-        dropped_classified = dropped_visited = dropped_cmax = 0
-        scans = fetches = nbytes = 0
-        if batched:
-            outcome = execute_round_batched(
-                sub, csr_rows, is_hub, classified, config.c_max,
-                task_hubs, task_seeds, interhub_keys, csr_lists,
-            )
-            islands_local = outcome.islands
-            if outcome.islands:
-                members_all = np.concatenate(
-                    [mem for mem, _ in outcome.islands]
-                )
-                classified[members_all] = True
-                num_classified += len(members_all)
-            if len(outcome.new_interhub_keys):
-                interhub_keys = np.sort(
-                    np.concatenate([interhub_keys, outcome.new_interhub_keys]),
-                    kind="stable",
-                )
-                u = outcome.new_interhub_keys // m
-                v = outcome.new_interhub_keys % m
-                new_pairs = list(zip(u.tolist(), v.tolist()))
-            task_scans = outcome.task_scans
-            task_fetches = outcome.task_fetches
-            task_bytes = outcome.task_bytes
-            task_outcomes = outcome.task_outcomes
-            dropped_classified = outcome.dropped_classified
-            dropped_visited = outcome.dropped_visited
-            dropped_cmax = outcome.dropped_cmax
-            scans = outcome.scans
-            fetches = outcome.fetches
-            nbytes = outcome.adjacency_bytes
-        else:
-            state = BFSRoundState.create(
-                sub, deg_global, threshold, config.c_max, round_id,
-                visited_round,
-            )
-            for pos, (hub, a0) in enumerate(
-                zip(task_hubs.tolist(), task_seeds.tolist())
-            ):
-                bytes_before = state.adjacency_bytes
-                result = run_bfs_task(state, hub, a0)
-                task_scans[pos] = result.scans
-                task_fetches[pos] = result.fetches
-                task_bytes[pos] = state.adjacency_bytes - bytes_before
-                task_outcomes[pos] = TASK_OUTCOME_CODES[result.outcome]
-                if result.outcome is TaskOutcome.ISLAND:
-                    members = np.asarray(result.members, dtype=np.int64)
-                    hubs_arr = np.asarray(result.hubs, dtype=np.int64)
-                    islands_local.append((members, hubs_arr))
-                    classified[members] = True
-                    num_classified += len(members)
-                elif result.outcome is TaskOutcome.SEED_IS_HUB:
-                    edge = (min(hub, a0), max(hub, a0))
-                    if edge not in interhub_seen:
-                        interhub_seen.add(edge)
-                        new_pairs.append(edge)
-                    dropped_classified += 1
-                elif result.outcome is TaskOutcome.ALREADY_VISITED:
-                    dropped_visited += 1
-                else:
-                    dropped_cmax += 1
-            scans = state.scans
-            fetches = state.adjacency_fetches
-            nbytes = state.adjacency_bytes
-
-        # Winner hubs + island metadata: first task (in task order)
-        # whose seed is the island's first member wins it.
-        k = len(islands_local)
-        isl_seed = np.empty(k, dtype=np.int64)
-        isl_size = np.empty(k, dtype=np.int64)
-        for i, (mem, _) in enumerate(islands_local):
-            isl_seed[i] = mem[0]
-            isl_size[i] = len(mem)
-        isl_winner = _EMPTY
-        if k:
-            order = np.argsort(task_seeds, kind="stable")
-            sorted_seeds = task_seeds[order]
-            pos = np.searchsorted(sorted_seeds, isl_seed)
-            if np.any(sorted_seeds[pos] != isl_seed):
-                raise IslandizationError(
-                    "incremental: sub-run island seed missing from queue"
-                )
-            isl_winner = task_hubs[order[pos]]
-
-        stats = {
-            "nodes_remaining": int(detection.detect_items),
-            "hubs_found": len(new_hubs),
-            "islands_found": k,
-            "nodes_islanded": int(isl_size.sum()) if k else 0,
-            "tasks_generated": total_tasks,
-            "tasks_dropped_classified": dropped_classified,
-            "tasks_dropped_visited": dropped_visited,
-            "tasks_dropped_cmax": dropped_cmax,
-            "interhub_edges_found": len(new_pairs),
-            "adjacency_fetches": fetches + taskgen_fetches,
-            "adjacency_bytes": nbytes + taskgen_bytes,
-            "detect_items": int(detection.detect_items),
-        }
-        islanded = (
-            np.concatenate([mem for mem, _ in islands_local])
-            if islands_local else _EMPTY
-        )
-        out.append(
-            _SubRound(
-                threshold=threshold,
-                singles=gids[isolated],
-                islands=[
-                    (gids[mem], gids[hubs_arr])
-                    for mem, hubs_arr in islands_local
-                ],
-                isl_seed=gids[isl_seed] if k else _EMPTY,
-                isl_size=isl_size,
-                isl_winner=gids[isl_winner] if k else _EMPTY,
-                islanded=gids[islanded] if len(islanded) else _EMPTY,
-                new_hubs=gids[new_hubs],
-                stats=stats,
-                interhub=(
-                    gids[np.asarray(new_pairs, dtype=np.int64)]
-                    if new_pairs
-                    else np.zeros((0, 2), dtype=np.int64)
-                ),
-                log_hubs=gids[task_hubs],
-                log_seeds=gids[task_seeds],
-                log_scans=task_scans,
-                log_fetches=task_fetches,
-                log_bytes=task_bytes,
-                log_outcomes=task_outcomes,
-                scans_total=scans,
-            )
-        )
-        threshold = config.next_threshold(threshold)
-        round_id += 1
-    return out
+            for isl in result.islands
+        ],
+        hub_ids=region[result.hub_ids],
+        hub_round=result.hub_round,
+        interhub_edges=region[result.interhub_edges],
+        record=record,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -848,7 +647,7 @@ def _old_dirty_stats(
 def _fold_rounds(
     cached: IslandizationResult,
     old_dirty: dict[str, np.ndarray],
-    new_rounds: list[_SubRound],
+    new_rounds: list[RoundStats],
     config: LocatorConfig,
     th0: int,
     round1_adjust: dict[str, int],
@@ -874,7 +673,7 @@ def _fold_rounds(
         return int(old_dirty[f][r - 1]) if r <= r_cached else 0
 
     def sget(r: int, f: str) -> int:
-        return new_rounds[r - 1].stats[f] if r <= len(new_rounds) else 0
+        return getattr(new_rounds[r - 1], f) if r <= len(new_rounds) else 0
 
     clean_remaining = (
         np.asarray([r.nodes_remaining for r in cached.rounds], dtype=np.int64)
@@ -928,7 +727,7 @@ def _splice_islands(
     cached: IslandizationResult,
     state: IncrementalState,
     dn_mask: np.ndarray,
-    new_rounds: list[_SubRound],
+    sub: _SubRun,
     n: int,
     r_new: int,
 ) -> tuple[list[Island], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -945,56 +744,25 @@ def _splice_islands(
     island list plus its (round, seed, size, winner) metadata arrays.
     """
     clean_idx = np.flatnonzero(~dn_mask[state.island_seed])
-    c_round = state.island_round[clean_idx]
     _check(
-        bool(np.all(c_round <= r_new)),
+        bool(np.all(state.island_round[clean_idx] <= r_new)),
         "clean island beyond the folded round count",
     )
-    c_seed = state.island_seed[clean_idx]
-    c_size = state.island_size[clean_idx]
-    c_winner = state.winner_hubs[clean_idx]
+    rec = sub.record
 
-    s_tp_round = [np.full(len(sr.islands), r, dtype=np.int64)
-                  for r, sr in enumerate(new_rounds, 1)]
-    s_single_round = [np.full(len(sr.singles), r, dtype=np.int64)
-                      for r, sr in enumerate(new_rounds, 1)]
-    singles_flat = (
-        np.concatenate([sr.singles for sr in new_rounds])
-        if new_rounds else _EMPTY
-    )
-    pool: list[tuple[np.ndarray, np.ndarray]] = [
-        pair for sr in new_rounds for pair in sr.islands
-    ]
+    def merged(field: str) -> np.ndarray:
+        return np.concatenate([getattr(state, field)[clean_idx], rec[field]])
 
-    def scat(parts: list[np.ndarray], attr: str | None = None) -> np.ndarray:
-        if attr is not None:
-            parts = [getattr(sr, attr) for sr in new_rounds]
-        return np.concatenate(parts) if parts else _EMPTY
-
-    s_tp_seed = scat([], "isl_seed")
-    s_tp_size = scat([], "isl_size")
-    s_tp_winner = scat([], "isl_winner")
-
-    rounds_all = np.concatenate(
-        [c_round, scat(s_tp_round), scat(s_single_round)]
-    )
-    seeds_all = np.concatenate([c_seed, s_tp_seed, singles_flat])
-    sizes_all = np.concatenate(
-        [c_size, s_tp_size, np.ones(len(singles_flat), dtype=np.int64)]
-    )
-    winners_all = np.concatenate(
-        [c_winner, s_tp_winner,
-         np.full(len(singles_flat), -1, dtype=np.int64)]
-    )
-    kinds_all = np.concatenate([
-        np.zeros(len(clean_idx), dtype=np.int8),
-        np.ones(len(s_tp_seed), dtype=np.int8),
-        np.full(len(singles_flat), 2, dtype=np.int8),
+    rounds_all = merged("island_round")
+    seeds_all = merged("island_seed")
+    sizes_all = merged("island_size")
+    winners_all = merged("winner_hubs")
+    from_sub = np.concatenate([
+        np.zeros(len(clean_idx), dtype=bool),
+        np.ones(len(sub.islands), dtype=bool),
     ])
     refs_all = np.concatenate([
-        clean_idx,
-        np.arange(len(s_tp_seed), dtype=np.int64),
-        np.arange(len(singles_flat), dtype=np.int64),
+        clean_idx, np.arange(len(sub.islands), dtype=np.int64)
     ])
 
     is_tp = winners_all >= 0
@@ -1004,49 +772,30 @@ def _splice_islands(
     )
     key = np.where(is_tp, winners_all * np.int64(n) + seeds_all, seeds_all)
     order = np.lexsort((key, is_tp, rounds_all))
-
-    kinds = kinds_all[order]
+    from_sub = from_sub[order]
     refs = refs_all[order]
-    rounds_s = rounds_all[order]
 
-    # Island ids are positional, so clean islands are reused by
-    # reference — only islands of the re-run region are constructed.
-    # Consecutive clean cached islands form runs (the sub-run's islands
-    # interleave at ~one spot per dirty component), so the reuse path
-    # extends whole list slices instead of appending one at a time.
-    num = len(kinds)
+    # Island ids are positional, so islands are reused by reference.
+    # Consecutive islands of one source form runs (the sub-run's
+    # islands interleave at ~one spot per dirty component), so the
+    # splice extends whole list slices instead of appending one at a
+    # time.
+    num = len(refs)
     brk = np.ones(num, dtype=bool)
     if num > 1:
-        brk[1:] = (
-            (kinds[1:] != 0) | (kinds[:-1] != 0)
-            | (refs[1:] != refs[:-1] + 1)
-        )
+        brk[1:] = (from_sub[1:] != from_sub[:-1]) | (refs[1:] != refs[:-1] + 1)
     starts = np.flatnonzero(brk)
     lengths = np.diff(np.append(starts, num))
     islands_out: list[Island] = []
-    append = islands_out.append
-    extend = islands_out.extend
-    cached_islands = cached.islands
-    obj_new = object.__new__
-    set_attr = object.__setattr__
-    for kind, ref, rnd, seg in zip(
-        kinds[starts].tolist(), refs[starts].tolist(),
-        rounds_s[starts].tolist(), lengths.tolist(),
+    for dirty, ref, seg in zip(
+        from_sub[starts].tolist(), refs[starts].tolist(), lengths.tolist()
     ):
-        if kind == 0:
-            extend(cached_islands[ref:ref + seg])
-            continue
-        if kind == 1:
-            members, hubs = pool[ref]
-        else:
-            members = singles_flat[ref:ref + 1]
-            hubs = _NO_HUBS
-        obj = obj_new(Island)
-        set_attr(obj, "round_id", rnd)
-        set_attr(obj, "members", members)
-        set_attr(obj, "hubs", hubs)
-        append(obj)
-    return islands_out, rounds_s, seeds_all[order], sizes_all[order], winners_all[order]
+        source = sub.islands if dirty else cached.islands
+        islands_out.extend(source[ref:ref + seg])
+    return (
+        islands_out, rounds_all[order], seeds_all[order], sizes_all[order],
+        winners_all[order],
+    )
 
 
 def _full_rebuild(
@@ -1151,34 +900,22 @@ def update_islandization(
         )
 
     # --- extraction + sub-run on the mutated graph ---------------------
-    reg_mask = np.zeros(n, dtype=bool)
-    reg_mask[region] = True
-    m = len(region)
-    if m:
-        relabel = np.full(n, -1, dtype=np.int64)
-        relabel[region] = np.arange(m, dtype=np.int64)
-        b_ids = np.flatnonzero(boundary)
-        # Boundary hubs' round-1 tasks into the dirty set, from the
-        # mutated graph's rows: a boundary hub's changed edges all
-        # target DN (or another clean hub, folded in closed form).
-        starts = new_graph.indptr[b_ids]
-        counts = new_graph.indptr[b_ids + 1] - starts
-        total_imp = int(counts.sum())
-        prefix = np.cumsum(counts) - counts
-        flat = np.arange(total_imp, dtype=np.int64) + np.repeat(
-            starts - prefix, counts
-        )
-        imp_seeds = new_graph.indices[flat]
-        imp_hubs = np.repeat(b_ids, counts)
-        keep = dn_mask[imp_seeds]
-        sub_new = _extract_region(new_graph, region, reg_mask)
-        new_rounds = _run_sub(
-            sub_new, region, deg_new[region], boundary[region],
-            relabel[imp_hubs[keep]], relabel[imp_seeds[keep]], config, th0,
-        )
-    else:
-        sub_new = None
-        new_rounds = []
+    # Boundary hubs' round-1 tasks into the dirty set, from the mutated
+    # graph's rows: a boundary hub's changed edges all target DN (or
+    # another clean hub, folded in closed form).
+    b_ids = np.flatnonzero(boundary)
+    flat, counts, _ = flat_gather(new_graph.indptr, b_ids)
+    imp_seeds = new_graph.indices[flat]
+    keep = dn_mask[imp_seeds]
+    imports = (
+        np.searchsorted(region, np.repeat(b_ids, counts)[keep]),
+        np.searchsorted(region, imp_seeds[keep]),
+    )
+    sub_new = replace(new_graph.subgraph(region), name=f"{new_graph.name}-dirty")
+    sub = _run_sub(
+        sub_new, region, deg_new[region], boundary[region], imports, config,
+        th0,
+    )
 
     # --- counters ------------------------------------------------------
     # Clean hub–hub changed edges: both endpoints stay round-1 hubs, so
@@ -1200,7 +937,7 @@ def update_islandization(
         cached, state, dn_mask, dirty_tasks, ent_round
     )
     folded = _fold_rounds(
-        cached, old_dirty, new_rounds, config, th0, round1_adjust
+        cached, old_dirty, sub.rounds, config, th0, round1_adjust
     )
     r_new = len(folded)
     n64 = np.int64(n)
@@ -1211,7 +948,7 @@ def update_islandization(
         "island metadata does not cover the cached islands",
     )
     islands_out, isl_round, isl_seed, isl_size, isl_winner = _splice_islands(
-        cached, state, dn_mask, new_rounds, n, r_new
+        cached, state, dn_mask, sub, n, r_new
     )
     _check(
         int((isl_winner >= 0).sum()) == sum(r.islands_found for r in folded),
@@ -1224,17 +961,14 @@ def update_islandization(
     hub_round_parts: list[np.ndarray] = []
     for r in range(1, r_new + 1):
         clean_r = cached.hub_ids[clean_hub_mask & (cached.hub_round == r)]
-        sub_r = (
-            new_rounds[r - 1].new_hubs if r <= len(new_rounds) else _EMPTY
-        )
+        sub_r = sub.hub_ids[sub.hub_round == r]
         merged = np.sort(np.concatenate([clean_r, sub_r]))
         hub_ids_parts.append(merged)
         hub_round_parts.append(np.full(len(merged), r, dtype=np.int64))
     hub_ids = np.concatenate(hub_ids_parts) if hub_ids_parts else _EMPTY
     hub_round = np.concatenate(hub_round_parts) if hub_round_parts else _EMPTY
     _check(
-        len(hub_ids)
-        == int(clean_hub_mask.sum()) + sum(len(sr.new_hubs) for sr in new_rounds),
+        len(hub_ids) == int(clean_hub_mask.sum()) + len(sub.hub_ids),
         "hub splice dropped or duplicated hubs",
     )
 
@@ -1254,12 +988,7 @@ def update_islandization(
             "deleted clean hub-hub edge missing from the cached set",
         )
         clean_ih = clean_ih[~gone]
-    sub_ih_parts = [sr.interhub for sr in new_rounds if len(sr.interhub)]
-    if len(ins_hh):
-        sub_ih_parts.append(ins_hh)
-    all_ih = np.concatenate(
-        [clean_ih] + sub_ih_parts if sub_ih_parts else [clean_ih]
-    )
+    all_ih = np.concatenate([clean_ih, sub.interhub_edges, ins_hh])
     if len(all_ih):
         order = np.argsort(all_ih[:, 0] * n64 + all_ih[:, 1])
         all_ih = all_ih[order]
@@ -1301,6 +1030,8 @@ def update_islandization(
     )
     clean_total = int(clean_offsets[-1])
     clean_keys = (state.log_hubs * n64 + state.log_seeds)[keep_clean]
+    sub_log = np.stack([sub.record[key] for key in _LOG_FIELDS])
+    sub_offsets = sub.record["log_offsets"]
     sub_mats: list[np.ndarray] = []
     at_parts: list[np.ndarray] = []
     round_counts = np.zeros(r_new, dtype=np.int64)
@@ -1310,17 +1041,10 @@ def update_islandization(
             clean_hi = int(clean_offsets[r])
         else:
             clean_lo = clean_hi = clean_total
-        if r <= len(new_rounds):
-            sr = new_rounds[r - 1]
-            sm = np.empty((6, len(sr.log_hubs)), dtype=np.int64)
-            sm[0] = sr.log_hubs
-            sm[1] = sr.log_seeds
-            sm[2] = sr.log_scans
-            sm[3] = sr.log_fetches
-            sm[4] = sr.log_bytes
-            sm[5] = sr.log_outcomes
+        if r < len(sub_offsets):
+            sm = sub_log[:, sub_offsets[r - 1]:sub_offsets[r]]
         else:
-            sm = np.empty((6, 0), dtype=np.int64)
+            sm = sub_log[:, :0]
         if r == 1 and len(ins_hh):
             # Two zero-work seed-is-hub tasks per inserted clean
             # hub–hub edge, one in each direction.
@@ -1356,12 +1080,8 @@ def update_islandization(
     full_log = np.empty((6, total), dtype=np.int64)
     clean_pos = np.ones(total, dtype=bool)
     clean_pos[sub_pos] = False
-    full_log[0][clean_pos] = state.log_hubs[keep_clean]
-    full_log[1][clean_pos] = state.log_seeds[keep_clean]
-    full_log[2][clean_pos] = state.log_scans[keep_clean]
-    full_log[3][clean_pos] = state.log_fetches[keep_clean]
-    full_log[4][clean_pos] = state.log_bytes[keep_clean]
-    full_log[5][clean_pos] = state.log_outcomes[keep_clean]
+    for row, key in enumerate(_LOG_FIELDS):
+        full_log[row][clean_pos] = getattr(state, key)[keep_clean]
     full_log[:, sub_pos] = sub_all
     # Greedy-dispatch replay over the merged task order.  Heap entries
     # are ``load * p2 + engine`` — a single int compares exactly like
@@ -1384,7 +1104,7 @@ def update_islandization(
         total_bfs_scans=(
             cached.work.total_bfs_scans
             - int(old_dirty["bfs_scans"].sum())
-            + sum(sr.scans_total for sr in new_rounds)
+            + sub.bfs_scans
         ),
         per_engine_scans=per_engine,
     )
@@ -1405,23 +1125,14 @@ def update_islandization(
 
     # --- refreshed state ----------------------------------------------
     new_labels = state.comp_labels.copy()
+    offset = int(new_labels.max()) + 1
+    new_labels[dn_mask] = -1
+    sub_labels = _round1_labels(sub_new, deg_new[region], th0)
+    sel = sub_labels >= 0
+    new_labels[region[sel]] = sub_labels[sel] + offset
     new_class_round = state.class_round.copy()
-    if m:
-        offset = int(new_labels.max()) + 1
-        new_labels[dn_mask] = -1
-        sub_rows = np.repeat(np.arange(m, dtype=np.int64), sub_new.degrees)
-        sub_labels, _, _ = _component_labels(
-            sub_new, sub_rows, deg_new[region] < th0
-        )
-        sel = sub_labels >= 0
-        new_labels[region[sel]] = sub_labels[sel] + offset
-        for r, sr in enumerate(new_rounds, 1):
-            if len(sr.islanded):
-                new_class_round[sr.islanded] = r
-            if len(sr.singles):
-                new_class_round[sr.singles] = r
-            if len(sr.new_hubs):
-                new_class_round[sr.new_hubs] = r
+    sub_round = sub.record["class_round"]
+    new_class_round[region[sub_round >= 0]] = sub_round[sub_round >= 0]
     new_state = IncrementalState(
         th0=th0,
         comp_labels=new_labels,
@@ -1444,5 +1155,5 @@ def update_islandization(
         fallback=False,
         fallback_reason=None,
         dirty_nodes=dirty_nodes,
-        region_nodes=m,
+        region_nodes=len(region),
     )

@@ -99,8 +99,12 @@ def streamed_schedule(
         cumulative += float(cycles)
     total_work = float(sum(round_work))
     if total_work > 0.0:
+        # Share first, then scale: ``consumer_cycles * w`` loses its
+        # precision when ``w`` is subnormal, and the chunks would no
+        # longer sum to ``consumer_cycles``.
         chunks = [
-            float(consumer_cycles) * float(w) / total_work for w in round_work
+            float(consumer_cycles) * (float(w) / total_work)
+            for w in round_work
         ]
     elif round_work:
         chunks = [float(consumer_cycles) / len(round_work)] * len(round_work)

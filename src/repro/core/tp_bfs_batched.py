@@ -69,7 +69,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.core.nputil import cumsum0
+from repro.core.nputil import cumsum0, flat_gather
 from repro.core.tp_bfs import TaskOutcome
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
@@ -173,24 +173,6 @@ def _first_occurrence(nbrs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return scratch[nbrs] == idx
 
 
-def _flat_gather(
-    indptr: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """CSR row gather positions for a frontier.
-
-    Returns ``(flat, row_counts, total)`` where ``indices[flat]`` lists
-    every neighbour entry of ``frontier`` in row-major (task scan)
-    order — the same ``np.repeat``/``np.cumsum`` slicing trick the
-    locator's Th2 task generation uses.
-    """
-    starts = indptr[frontier]
-    row_counts = indptr[frontier + 1] - starts
-    total = int(row_counts.sum())
-    prefix = np.cumsum(row_counts) - row_counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, row_counts)
-    return flat, row_counts, total
-
-
 def run_task_levelwise(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -237,7 +219,7 @@ def run_task_levelwise(
             total = int(end - start)
             row_counts = None
         else:
-            flat, row_counts, total = _flat_gather(indptr, frontier)
+            flat, row_counts, total = flat_gather(indptr, frontier)
             nbrs = indices[flat]
         s = state[nbrs]
         free = s == STATE_FREE
@@ -447,7 +429,7 @@ def _multi_source_bfs(
     frontier = seeds
     owner = member_owner[0]
     while frontier.size:
-        flat, row_counts, total = _flat_gather(indptr, frontier)
+        flat, row_counts, total = flat_gather(indptr, frontier)
         if total == 0:
             break
         nbrs = indices[flat]

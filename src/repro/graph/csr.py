@@ -361,24 +361,30 @@ class CSRGraph:
         )
 
     def subgraph(self, nodes: np.ndarray) -> "CSRGraph":
-        """Induced subgraph on ``nodes`` (relabelled 0..len(nodes)-1)."""
-        nodes = np.asarray(sorted(set(np.asarray(nodes, dtype=np.int64).tolist())))
-        relabel = -np.ones(self.num_nodes, dtype=np.int64)
-        relabel[nodes] = np.arange(len(nodes))
-        rows_out: list[int] = []
-        cols_out: list[int] = []
-        for new_u, u in enumerate(nodes):
-            for v in self.neighbors(int(u)):
-                nv = relabel[v]
-                if nv >= 0:
-                    rows_out.append(new_u)
-                    cols_out.append(int(nv))
-        return CSRGraph.from_edges(
-            len(nodes),
-            np.asarray(rows_out, dtype=np.int64),
-            np.asarray(cols_out, dtype=np.int64),
+        """Induced subgraph on ``nodes``; node ``nodes[i]`` becomes ``i``.
+
+        ``nodes`` must be strictly increasing (sorted, no duplicates), so
+        the relabelling is monotone: every row keeps its sorted order and
+        the result is canonical CSR without a re-sort — one vectorised
+        gather of the selected rows, filtered to in-set neighbours.
+        """
+        from repro.core.nputil import cumsum0, flat_gather
+
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.ndim != 1 or np.any(np.diff(nodes) <= 0):
+            raise GraphError("subgraph nodes must be sorted and unique")
+        if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.num_nodes):
+            raise GraphError("subgraph nodes out of range")
+        relabel = np.full(self.num_nodes, -1, dtype=np.int64)
+        relabel[nodes] = np.arange(len(nodes), dtype=np.int64)
+        flat, counts, _ = flat_gather(self.indptr, nodes)
+        cols = relabel[self.indices[flat]]
+        keep = cols >= 0
+        rows = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)[keep]
+        return CSRGraph(
+            indptr=cumsum0(np.bincount(rows, minlength=len(nodes))),
+            indices=cols[keep],
             name=f"{self.name}-sub",
-            symmetrize=False,
         )
 
     def edge_keys(self) -> np.ndarray:

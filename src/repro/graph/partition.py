@@ -33,7 +33,7 @@ monolithic one.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
@@ -539,32 +539,11 @@ def _pack_components(sep, labels, num_parts):
 
 def _extract_shard(graph, nodes, part_id):
     """Induced interior subgraph on ``nodes`` (ascending), local IDs."""
-    n = graph.num_nodes
-    indptr, indices = graph.indptr, graph.indices
-    relabel = np.full(n, -1, dtype=np.int64)
-    relabel[nodes] = np.arange(len(nodes), dtype=np.int64)
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    inner = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    flat = np.repeat(starts, counts) + inner
-    neigh = relabel[indices[flat]]
-    keep = neigh >= 0
-    local_rows = np.repeat(relabel[nodes], counts)[keep]
-    local_deg = (
-        np.bincount(local_rows, minlength=len(nodes))
-        if len(nodes) else np.zeros(0, dtype=np.int64)
-    )
-    sub_indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(local_deg, out=sub_indptr[1:])
+    nodes = np.asarray(nodes, dtype=np.int64)
     return GraphShard(
         part_id=part_id,
-        global_nodes=np.asarray(nodes, dtype=np.int64),
-        graph=CSRGraph(
-            indptr=sub_indptr,
-            indices=neigh[keep],
-            name=f"{graph.name}/shard{part_id}",
+        global_nodes=nodes,
+        graph=replace(
+            graph.subgraph(nodes), name=f"{graph.name}/shard{part_id}"
         ),
     )

@@ -2,9 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import CSRGraph
+
+
+@st.composite
+def graphs_with_nodes(draw, max_nodes=30, max_edges=90):
+    """A random CSR graph (self-loops and one-way entries allowed) plus
+    a sorted, unique node subset of it."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    )
+    graph = CSRGraph.from_edges(
+        n,
+        np.asarray([u for u, _ in pairs], dtype=np.int64),
+        np.asarray([v for _, v in pairs], dtype=np.int64),
+        symmetrize=draw(st.booleans()),
+    )
+    nodes = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return graph, np.asarray(nodes, dtype=np.int64)
 
 
 class TestConstruction:
@@ -150,6 +173,37 @@ class TestSubgraph:
     def test_subgraph_drops_external_edges(self, star):
         sub = star.subgraph(np.array([1, 2]))
         assert sub.num_edges == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_nodes())
+    def test_matches_dense_slice_and_is_canonical(self, case):
+        graph, nodes = case
+        sub = graph.subgraph(nodes)
+        dense = graph.to_dense()
+        assert sub.num_nodes == len(nodes)
+        assert np.array_equal(sub.to_dense(), dense[np.ix_(nodes, nodes)])
+        for u in range(sub.num_nodes):
+            assert np.all(np.diff(sub.neighbors(u)) > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_nodes(), st.data())
+    def test_rejects_unsorted_or_duplicate_nodes(self, case, data):
+        graph, nodes = case
+        nodes = nodes.tolist()
+        if len(nodes) == 0:
+            nodes = [0]
+        i = data.draw(st.integers(0, len(nodes) - 1), label="i")
+        if len(nodes) > 1 and data.draw(st.booleans(), label="swap"):
+            j = (i + 1) % len(nodes)
+            nodes[i], nodes[j] = nodes[j], nodes[i]
+        else:
+            nodes.insert(i, nodes[i])
+        with pytest.raises(GraphError):
+            graph.subgraph(np.asarray(nodes, dtype=np.int64))
+
+    def test_rejects_out_of_range_nodes(self, triangle):
+        with pytest.raises(GraphError):
+            triangle.subgraph(np.array([1, 3]))
 
     def test_to_dense_matches(self, fig2):
         dense = fig2.to_dense()
