@@ -9,11 +9,11 @@ Commands
               process-parallel) through the runtime Engine
 ``bench``     scaling benchmarks: the ``locator``/``consumer`` suites
               time scalar vs batched backends (BENCH_locator.json,
-              BENCH_consumer.json); the ``pipeline`` suite times
-              staged vs streamed execution and records the Fig. 3
-              overlap win (BENCH_pipeline.json); the ``pincr`` suite
-              times shard-routed incremental updates against full
-              fleet re-records (BENCH_pincr.json)
+              BENCH_consumer.json); the ``event`` suite runs the
+              staged, streamed and event pipeline modes and records
+              the Fig. 3 overlap win (BENCH_event.json); the ``pincr``
+              suite times shard-routed incremental updates against
+              full fleet re-records (BENCH_pincr.json)
 ``spy``       ASCII spy plot of a dataset before/after islandization
 ``experiments`` regenerate every paper table/figure (slow)
 ``cache``     inspect, clear, or size-evict the persistent artifact
@@ -64,13 +64,14 @@ import json
 from repro.core import ConsumerConfig, IGCNAccelerator, LocatorConfig
 from repro.errors import ReproError, SimulationError
 from repro.eval import render_rows, render_table, spy
-from repro.eval.bench_consumer import run_consumer_bench
-from repro.eval.bench_event import run_event_bench
-from repro.eval.bench_incremental import DELTA_TIERS, run_incremental_bench
-from repro.eval.bench_locator import BENCH_TIERS, run_locator_bench
-from repro.eval.bench_partition import PARTITION_TIERS, run_partition_bench
-from repro.eval.bench_pincr import PINCR_DELTA_TIERS, run_pincr_bench
-from repro.eval.bench_pipeline import run_pipeline_bench
+from repro.eval import (
+    bench_consumer,
+    bench_event,
+    bench_incremental,
+    bench_locator,
+    bench_partition,
+    bench_pincr,
+)
 from repro.eval.experiments import (
     experiment_fig9,
     experiment_fig10,
@@ -104,6 +105,15 @@ __all__ = ["main", "build_parser"]
 #: "flag only applies to igcn" guard in _cmd_run.
 _DEFAULT_PREAGG_K = 6
 _DEFAULT_CMAX = 64
+
+#: The ``repro bench`` suites.  Flag-guard messages list the suites
+#: accepting a flag in this order.
+BENCH_SUITES = {
+    suite.name: suite
+    for suite in (bench_locator.SUITE, bench_consumer.SUITE,
+                  bench_event.SUITE, bench_partition.SUITE,
+                  bench_incremental.SUITE, bench_pincr.SUITE)
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,15 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="performance benchmarks (backends and pipeline modes)"
     )
-    bench.add_argument("suite",
-                       choices=["locator", "consumer", "pipeline", "event",
-                                "partition", "incremental", "pincr"],
+    bench.add_argument("suite", choices=list(BENCH_SUITES),
                        help="benchmark suite to run: locator/consumer time "
-                            "scalar vs batched backends, pipeline times "
-                            "staged vs streamed execution and records the "
-                            "modelled overlap win, event runs the "
-                            "discrete-event pipeline against its "
-                            "streamed/staged sandwich bounds and records "
+                            "scalar vs batched backends, event runs the "
+                            "staged, streamed and discrete-event pipeline "
+                            "modes, records the modelled overlap win and "
+                            "checks the event makespan against its "
+                            "streamed/staged sandwich bounds plus "
                             "per-island p50/p99 latency, partition times "
                             "monolithic vs sharded islandization in fresh "
                             "processes and records peak RSS plus the "
@@ -268,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "across a ladder of delta sizes, pincr times "
                             "shard-routed incremental updates vs full "
                             "fleet re-records on one warm shard fleet")
-    tier_choices = list(BENCH_TIERS) + [
-        t for t in PARTITION_TIERS if t not in BENCH_TIERS
-    ] + [t for t in DELTA_TIERS if t not in BENCH_TIERS]
+    tier_choices = list(dict.fromkeys(
+        tier for suite in BENCH_SUITES.values() for tier in suite.tiers
+    ))
     bench.add_argument("--tiers", nargs="+", choices=tier_choices,
                        default=None,
                        help="graph-scale tiers by undirected edge count "
                             "(default: every tier of the chosen suite; "
-                            "locator/consumer/pipeline ladder ends at 2e6, "
+                            "locator/consumer/event ladder ends at 2e6, "
                             "the partition ladder is 2e5/2e6/2e7; the "
                             "incremental suite's tiers are *delta sizes* "
                             "1e1/1e3/1e5 on one ~2e6-entry graph)")
@@ -284,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--cmax", type=int, default=64)
     bench.add_argument("--preagg-k", type=int, default=_DEFAULT_PREAGG_K,
-                       help="consumer suite: pre-aggregation window width")
+                       help="consumer/event suites: pre-aggregation "
+                            "window width")
     bench.add_argument("--partitions", type=int, default=4,
                        help="partition/pincr suites: shard count for the "
                             "partitioned contender (pincr real runs use "
@@ -881,239 +890,31 @@ def _cmd_bench(args) -> int:
         raise SimulationError(
             f"--repeats must be >= 1 (got {args.repeats})"
         )
-    if args.suite not in ("partition", "pincr"):
-        # Silently ignoring partition-only knobs would mislead.
-        for flag, default in (("partitions", 4), ("workers", None),
-                              ("partition_strategy", "separator"),
-                              ("graph_dir", None)):
-            if getattr(args, flag) != default:
-                raise SimulationError(
-                    f"--{flag.replace('_', '-')} only applies to the "
-                    f"partition and pincr suites"
-                )
-        if args.suite != "incremental" and args.max_edges is not None:
-            raise SimulationError(
-                "--max-edges only applies to the partition, incremental "
-                "and pincr suites"
-            )
-    if args.suite not in ("incremental", "pincr") and args.delta_seed != 11:
-        raise SimulationError(
-            "--delta-seed only applies to the incremental and pincr suites"
-        )
-    tiers = args.tiers or (
-        list(PARTITION_TIERS) if args.suite == "partition"
-        else list(DELTA_TIERS) if args.suite == "incremental"
-        else list(PINCR_DELTA_TIERS) if args.suite == "pincr"
-        else list(BENCH_TIERS)
+    suite = BENCH_SUITES[args.suite]
+    # A suite-specific flag set off its default for a suite that does
+    # not take it raises instead of being silently ignored.
+    defaults = vars(build_parser().parse_args(["bench", args.suite]))
+    flags = dict.fromkeys(
+        flag for other in BENCH_SUITES.values() for flag in other.flags
     )
-    if args.suite == "partition":
-        record = run_partition_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            partitions=args.partitions,
-            workers=args.workers,
-            strategy=args.partition_strategy,
-            max_edges=args.max_edges,
-            graph_dir=args.graph_dir,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "pincr":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
+    for flag in flags:
+        if flag not in suite.flags and getattr(args, flag) != defaults[flag]:
+            *rest, last = [other.name for other in BENCH_SUITES.values()
+                           if flag in other.flags]
+            users = f"{', '.join(rest)} and {last}" if rest else last
             raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
+                f"--{flag.replace('_', '-')} only applies to the {users} "
+                f"suites"
             )
-        record = run_pincr_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            delta_seed=args.delta_seed,
-            c_max=args.cmax,
-            partitions=args.partitions,
-            workers=args.workers,
-            strategy=args.partition_strategy,
-            max_edges=args.max_edges,
-            graph_dir=args.graph_dir,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "incremental":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
-            raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
-            )
-        record = run_incremental_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            delta_seed=args.delta_seed,
-            c_max=args.cmax,
-            max_edges=args.max_edges,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "locator":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
-            raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
-            )
-        record = run_locator_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "consumer":
-        record = run_consumer_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "event":
-        record = run_event_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
-    else:
-        record = run_pipeline_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
-    if args.suite == "partition":
-        rows = [
-            {
-                "tier": row["tier"],
-                "profile": row["profile"],
-                "edges": row["edges"],
-                "mono_s": row["mono_s"],
-                "part_s": row["part_s"],
-                "speedup": row["speedup"],
-                "mono_rss_mb": row["mono_rss_mb"],
-                "part_rss_mb": row["part_rss_mb"],
-                "cer_delta": row["quality_delta"]["classified_edge_ratio"],
-                "equal_p1": (
-                    "-" if row["equal_p1"] is None else str(row["equal_p1"])
-                ),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"partitioned islandization, {record['config']['partitions']} "
-            f"shards x {record['config']['workers']} workers "
-            f"(best-of wall clock, fresh processes)"
-        )
-    elif args.suite == "pincr":
-        rows = [
-            {
-                "delta": row["tier"],
-                "edits": row["delta_edges"],
-                "update_s": row["update_s"],
-                "rerecord_s": row["rerecord_s"],
-                "speedup": row["speedup"],
-                "dirty_shards": len(row["dirty_shards"]),
-                "fallback": str(row["fallback"]),
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"shard-routed updates vs full fleet re-record, "
-            f"{record['config']['partitions']} shards x "
-            f"{record['config']['workers']} workers "
-            f"(warm fleet, best-of wall clock)"
-        )
-    elif args.suite == "incremental":
-        rows = [
-            {
-                "delta": row["tier"],
-                "edits": row["delta_edges"],
-                "incr_s": row["incr_s"],
-                "record_s": row["record_s"],
-                "islandize_s": row["islandize_s"],
-                "vs_record": row["speedup_vs_record"],
-                "vs_scratch": row["speedup_vs_islandize"],
-                "dirty": row["dirty_nodes"],
-                "fallback": str(row["fallback"]),
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"incremental maintenance vs rebuild on a "
-            f"{record['graph']['edges']}-entry graph "
-            f"(best-of wall clock)"
-        )
-    elif args.suite == "pipeline":
-        rows = [
-            {
-                "tier": row["tier"],
-                "rounds": row["rounds"],
-                "staged_cyc": row["staged_cycles"],
-                "streamed_cyc": row["streamed_cycles"],
-                "overlap_win": row["overlap_win"],
-                "staged_s": row["staged_s"],
-                "streamed_s": row["streamed_s"],
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = "pipeline overlap: staged vs streamed (modelled cycles)"
-    elif args.suite == "event":
-        rows = [
-            {
-                "tier": row["tier"],
-                "streamed_cyc": row["streamed_cycles"],
-                "event_cyc": row["event_cycles"],
-                "staged_cyc": row["staged_cycles"],
-                "overlap_win": row["overlap_win"],
-                "p50_us": row["p50_us"],
-                "p99_us": row["p99_us"],
-                "event_s": row["event_s"],
-                "ok": (
-                    "-"
-                    if row["sandwich"] is None
-                    else str(
-                        row["sandwich"]
-                        and row["deterministic"]
-                        and row["equal"]
-                    )
-                ),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            "event pipeline: discrete-event makespan inside its "
-            "streamed/staged sandwich"
-        )
-    else:
-        rows = [
-            {
-                "tier": row["tier"],
-                "nodes": row["nodes"],
-                "edges": row["edges"],
-                "scalar_s": row["scalar_s"],
-                "batched_s": row["batched_s"],
-                "speedup": row["speedup"],
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = f"{args.suite} backend scaling (best-of wall clock)"
-    print(render_table(rows, title=title))
+    record = suite.run(
+        tiers=args.tiers or suite.tiers,
+        repeats=args.repeats,
+        seed=args.seed,
+        c_max=args.cmax,
+        verify=not args.no_verify,
+        **{kwarg: getattr(args, flag) for flag, kwarg in suite.flags.items()},
+    )
+    print(suite.table(record))
     output = args.output or f"BENCH_{args.suite}.json"
     if args.output is None and Path(output).exists():
         # Partial-tier smoke runs must not clobber a committed
@@ -1129,44 +930,11 @@ def _cmd_bench(args) -> int:
             return 2
     # Write the record first: on a divergence it is the evidence.
     Path(output).write_text(json.dumps(record, indent=2) + "\n")
-    equal_key = "equal_p1" if args.suite == "partition" else "equal"
-    failed = any(row[equal_key] is False for row in record["tiers"])
-    if args.suite == "event":
-        # The event contract is wider than cross-mode equality: the
-        # sandwich bound and trace determinism gate the record too.
-        failed = failed or any(
-            row["sandwich"] is False or row["deterministic"] is False
-            for row in record["tiers"]
-        )
-    if failed:
-        what = (
-            "the partitions=1 oracle and the monolithic locator"
-            if args.suite == "partition"
-            else "the incremental update and the from-scratch locator"
-            if args.suite == "incremental"
-            else "the shard-routed update and the fleet re-record"
-            if args.suite == "pincr"
-            else "pipeline modes" if args.suite == "pipeline"
-            else "the event contract (sandwich/determinism/equality)"
-            if args.suite == "event"
-            else "backends"
-        )
-        print(f"error: {what} diverged — see rows above and "
+    if suite.failed(record):
+        print(f"error: {suite.diverged} diverged — see rows above and "
               f"{output}", file=sys.stderr)
         return 1
-    if args.suite in ("incremental", "pincr"):
-        baseline = ("full fleet re-record" if args.suite == "pincr"
-                    else "recording rebuild")
-        if record["headline_tier"] is None:
-            print(f"\nwrote {output}: no delta tier beats the {baseline}")
-        else:
-            cross = record["crossover_delta"] or "beyond the ladder"
-            print(f"\nwrote {output}: {record['headline_tier']}-edit delta "
-                  f"speedup {record['headline_speedup']}x vs {baseline} "
-                  f"(crossover at {cross})")
-    else:
-        print(f"\nwrote {output}: largest tier {record['largest_tier']} "
-              f"speedup {record['largest_speedup']}x")
+    print(f"\n{suite.summary(record, output)}")
     return 0
 
 

@@ -35,7 +35,6 @@ The JSON schema (one record per file)::
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -44,13 +43,14 @@ from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.consumer import IslandConsumer, execution_mismatch
 from repro.core.interhub import build_interhub_plan
 from repro.core.islandizer import IslandLocator
-from repro.eval.bench_locator import bench_graph
+from repro.eval.bench_locator import BACKEND_COLUMNS, BENCH_TIERS, bench_graph
+from repro.eval.benchkit import Suite, best_of, envelope
 from repro.hw.config import IGCN_DEFAULT
 from repro.hw.memory import TrafficMeter
 from repro.models.configs import gcn_model
 from repro.models.reference import normalization_for
 
-__all__ = ["run_consumer_bench"]
+__all__ = ["SUITE", "run_consumer_bench"]
 
 #: Undirected-edge ceiling below which functional (byte-identical
 #: output) verification also runs; above it, counts-mode verification
@@ -60,16 +60,15 @@ _FUNCTIONAL_EDGE_LIMIT = 30_000
 
 def _run_consumer(result, norm, plan, model, *, backend, preagg_k, num_pes,
                   x=None, weights=None):
-    """One timed end-to-end pass: task assembly + every layer.
+    """One end-to-end pass: task assembly + every layer.
 
-    Returns ``(seconds, per-layer (execution, meter) list, ring
-    stats)``; functional when ``x``/``weights`` are supplied.
+    Returns ``(per-layer (execution, meter) list, ring stats)``;
+    functional when ``x``/``weights`` are supplied.
     """
     consumer = IslandConsumer(
         ConsumerConfig(preagg_k=preagg_k, num_pes=num_pes, backend=backend),
         IGCN_DEFAULT,
     )
-    start = time.perf_counter()
     tasks = consumer.prepare(result, add_self_loops=norm.add_self_loops)
     layers = []
     current = x
@@ -86,7 +85,7 @@ def _run_consumer(result, norm, plan, model, *, backend, preagg_k, num_pes,
         layers.append((execution, meter))
         if x is not None:
             current = execution.output
-    return time.perf_counter() - start, layers, consumer.ring.stats
+    return layers, consumer.ring.stats
 
 
 def _layers_equal(scalar_layers, batched_layers, scalar_ring, batched_ring,
@@ -111,7 +110,7 @@ def _layers_equal(scalar_layers, batched_layers, scalar_ring, batched_ring,
 
 
 def run_consumer_bench(
-    tiers: Sequence[str] = ("1e3", "1e4", "1e5", "1e6", "2e6"),
+    tiers: Sequence[str] = tuple(BENCH_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -137,28 +136,23 @@ def run_consumer_bench(
         plan = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
         common = dict(preagg_k=preagg_k, num_pes=num_pes)
 
+        def run(backend, **functional):
+            return _run_consumer(result, norm, plan, model, backend=backend,
+                                 **functional, **common)
+
         # One untimed batched pass warms the allocator, as the locator
         # bench does.
-        _run_consumer(result, norm, plan, model, backend="batched", **common)
-        batched_s = min(
-            _run_consumer(result, norm, plan, model,
-                          backend="batched", **common)[0]
-            for _ in range(repeats)
-        )
+        run("batched")
+        _, batched_s = best_of(lambda: run("batched"), repeats)
         scalar_reps = repeats if graph.num_edges < 300_000 else 1
-        scalar_s = float("inf")
-        for _ in range(scalar_reps):
-            elapsed, scalar_layers, scalar_ring = _run_consumer(
-                result, norm, plan, model, backend="scalar", **common
-            )
-            scalar_s = min(scalar_s, elapsed)
+        (scalar_layers, scalar_ring), scalar_s = best_of(
+            lambda: run("scalar"), scalar_reps
+        )
 
         equal = None
         functional_verified = False
         if verify:
-            _, batched_layers, batched_ring = _run_consumer(
-                result, norm, plan, model, backend="batched", **common
-            )
+            batched_layers, batched_ring = run("batched")
             equal = _layers_equal(
                 scalar_layers, batched_layers, scalar_ring, batched_ring,
                 functional=False,
@@ -170,14 +164,8 @@ def run_consumer_bench(
                     rng.normal(size=(layer.in_dim, layer.out_dim))
                     for layer in model.layers
                 ]
-                _, s_func, s_ring = _run_consumer(
-                    result, norm, plan, model, backend="scalar",
-                    x=x, weights=weights, **common,
-                )
-                _, b_func, b_ring = _run_consumer(
-                    result, norm, plan, model, backend="batched",
-                    x=x, weights=weights, **common,
-                )
+                s_func, s_ring = run("scalar", x=x, weights=weights)
+                b_func, b_ring = run("batched", x=x, weights=weights)
                 equal = equal and _layers_equal(
                     s_func, b_func, s_ring, b_ring, functional=True
                 )
@@ -197,10 +185,9 @@ def run_consumer_bench(
                 "functional_verified": functional_verified,
             }
         )
-    largest = rows[-1] if rows else None
-    return {
-        "benchmark": "consumer-scale",
-        "config": {
+    return envelope(
+        "consumer-scale",
+        {
             "seed": seed,
             "repeats": repeats,
             "c_max": c_max,
@@ -209,9 +196,19 @@ def run_consumer_bench(
             "layers": [
                 [layer.in_dim, layer.out_dim] for layer in model.layers
             ],
-            "verified": verify,
         },
-        "tiers": rows,
-        "largest_tier": largest["tier"] if largest else None,
-        "largest_speedup": largest["speedup"] if largest else None,
-    }
+        rows,
+        verify=verify,
+        win="speedup",
+    )
+
+
+SUITE = Suite(
+    name="consumer",
+    run=run_consumer_bench,
+    tiers=tuple(BENCH_TIERS),
+    columns=BACKEND_COLUMNS,
+    title="consumer backend scaling (best-of wall clock)",
+    diverged="backends",
+    flags={"preagg_k": "preagg_k"},
+)

@@ -93,11 +93,13 @@ from repro.core.islandizer_incremental import (
     update_islandization,
 )
 from repro.errors import ConfigError
+from repro.eval.benchkit import Suite, best_of, envelope, verdict_cell
 from repro.graph.csr import CSRGraph, GraphDelta
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
 __all__ = [
     "DELTA_TIERS",
+    "SUITE",
     "churn_delta",
     "incremental_bench_graph",
     "run_incremental_bench",
@@ -350,18 +352,8 @@ def _ins_candidates_scalar(u_batch, r1, r2, *, indptr, indices, nonhub,
     return out_u, out_w, out_k
 
 
-def _best(fn, repeats: int):
-    """(result, best wall time) of ``repeats`` calls."""
-    out, best = None, float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return out, best
-
-
 def run_incremental_bench(
-    tiers: Sequence[str] = ("1e1", "1e3", "1e5"),
+    tiers: Sequence[str] = tuple(DELTA_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -404,13 +396,13 @@ def run_incremental_bench(
         )
         apply_s = time.perf_counter() - t0
         applied = (mutated, ins_eff, del_eff)
-        scratch, islandize_s = _best(
+        scratch, islandize_s = best_of(
             lambda: islandize(mutated, config), repeats
         )
-        _, record_s = _best(
+        _, record_s = best_of(
             lambda: record_islandization(mutated, config), repeats
         )
-        upd, incr_s = _best(
+        upd, incr_s = best_of(
             lambda: update_islandization(
                 graph, cached, state, delta, config,
                 max_dirty_fraction=max_dirty_fraction, applied=applied,
@@ -449,9 +441,9 @@ def run_incremental_bench(
          if r["fallback"] or r["speedup_vs_record"] < 1.0),
         None,
     )
-    return {
-        "benchmark": "locator-incremental",
-        "config": {
+    return envelope(
+        "locator-incremental",
+        {
             "seed": seed,
             "delta_seed": delta_seed,
             "repeats": repeats,
@@ -461,13 +453,37 @@ def run_incremental_bench(
             "max_edges": max_edges,
             "max_dirty_fraction": max_dirty_fraction,
             "profile": _PROFILE_DESC,
-            "verified": verify,
         },
-        "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
-        "tiers": rows,
-        "headline_tier": headline["tier"] if headline else None,
-        "headline_speedup": (
-            headline["speedup_vs_record"] if headline else None
-        ),
-        "crossover_delta": crossover,
-    }
+        rows,
+        verify=verify,
+        graph={"nodes": graph.num_nodes, "edges": graph.num_edges},
+        headline_tier=headline["tier"] if headline else None,
+        headline_speedup=headline["speedup_vs_record"] if headline else None,
+        crossover_delta=crossover,
+    )
+
+
+SUITE = Suite(
+    name="incremental",
+    run=run_incremental_bench,
+    tiers=tuple(DELTA_TIERS),
+    columns={
+        "delta": "tier",
+        "edits": "delta_edges",
+        "incr_s": "incr_s",
+        "record_s": "record_s",
+        "islandize_s": "islandize_s",
+        "vs_record": "speedup_vs_record",
+        "vs_scratch": "speedup_vs_islandize",
+        "dirty": "dirty_nodes",
+        "fallback": lambda row: str(row["fallback"]),
+        "equal": verdict_cell("equal"),
+    },
+    title=(
+        "incremental maintenance vs rebuild on a {graph[edges]}-entry "
+        "graph (best-of wall clock)"
+    ),
+    diverged="the incremental update and the from-scratch locator",
+    flags={"max_edges": "max_edges", "delta_seed": "delta_seed"},
+    baseline="recording rebuild",
+)

@@ -32,16 +32,16 @@ that the scalar oracle takes tens of seconds there.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 from repro.core.config import LocatorConfig
 from repro.core.islandizer import IslandLocator
 from repro.errors import ConfigError
+from repro.eval.benchkit import Suite, best_of, envelope, verdict_cell
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
-__all__ = ["BENCH_TIERS", "bench_graph", "run_locator_bench"]
+__all__ = ["BENCH_TIERS", "SUITE", "bench_graph", "run_locator_bench"]
 
 #: Tier name -> target undirected edge count.  The hub-island generator
 #: lands within a few percent of the target at ~10.6 edges per node.
@@ -80,22 +80,8 @@ def bench_graph(tier: str, *, seed: int = 7) -> CSRGraph:
     return graph.without_self_loops()
 
 
-def _time_backend(
-    graph: CSRGraph, config: LocatorConfig, repeats: int
-) -> tuple[float, object]:
-    """Best-of-``repeats`` wall time; returns (seconds, last result)."""
-    locator = IslandLocator(config)
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = locator.run(graph)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def run_locator_bench(
-    tiers: Sequence[str] = ("1e3", "1e4", "1e5", "1e6", "2e6"),
+    tiers: Sequence[str] = tuple(BENCH_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -116,10 +102,12 @@ def run_locator_bench(
         batched_cfg = LocatorConfig(c_max=c_max, backend="batched")
         # One untimed batched run warms the allocator (first-touch page
         # faults otherwise dominate the small tiers).
-        IslandLocator(batched_cfg).run(graph)
-        batched_s, batched_res = _time_backend(graph, batched_cfg, repeats)
+        batched = IslandLocator(batched_cfg)
+        batched.run(graph)
+        batched_res, batched_s = best_of(lambda: batched.run(graph), repeats)
         scalar_reps = repeats if graph.num_edges < 300_000 else 1
-        scalar_s, scalar_res = _time_backend(graph, scalar_cfg, scalar_reps)
+        scalar = IslandLocator(scalar_cfg)
+        scalar_res, scalar_s = best_of(lambda: scalar.run(graph), scalar_reps)
         equal = bool(scalar_res.equals(batched_res)) if verify else None
         rows.append(
             {
@@ -134,17 +122,36 @@ def run_locator_bench(
                 "rounds": batched_res.num_rounds,
             }
         )
-    largest = rows[-1] if rows else None
-    return {
-        "benchmark": "locator-scale",
-        "config": {
+    return envelope(
+        "locator-scale",
+        {
             "seed": seed,
             "repeats": repeats,
             "c_max": c_max,
             "profile": "hub-island mean=16 max=48 bg=0.0075",
-            "verified": verify,
         },
-        "tiers": rows,
-        "largest_tier": largest["tier"] if largest else None,
-        "largest_speedup": largest["speedup"] if largest else None,
-    }
+        rows,
+        verify=verify,
+        win="speedup",
+    )
+
+
+#: Columns of the two backend-race suites (locator and consumer).
+BACKEND_COLUMNS = {
+    "tier": "tier",
+    "nodes": "nodes",
+    "edges": "edges",
+    "scalar_s": "scalar_s",
+    "batched_s": "batched_s",
+    "speedup": "speedup",
+    "equal": verdict_cell("equal"),
+}
+
+SUITE = Suite(
+    name="locator",
+    run=run_locator_bench,
+    tiers=tuple(BENCH_TIERS),
+    columns=BACKEND_COLUMNS,
+    title="locator backend scaling (best-of wall clock)",
+    diverged="backends",
+)

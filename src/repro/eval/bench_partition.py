@@ -72,11 +72,13 @@ from typing import Sequence
 
 from repro.core.config import LocatorConfig
 from repro.errors import ConfigError, SimulationError
+from repro.eval.benchkit import Suite, check_repeats, envelope, verdict_cell
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
 __all__ = [
     "PARTITION_TIERS",
+    "SUITE",
     "partition_bench_graph",
     "run_partition_bench",
 ]
@@ -245,7 +247,7 @@ def _run_child(spec: dict) -> dict:
 # ----------------------------------------------------------------------
 
 def run_partition_bench(
-    tiers: Sequence[str] = ("2e5", "2e6", "2e7"),
+    tiers: Sequence[str] = tuple(PARTITION_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -265,6 +267,7 @@ def run_partition_bench(
     monolithic result, and the partitioned result of every measured
     child passes ``IslandizationResult.validate()``.
     """
+    check_repeats(repeats)
     if partitions < 2:
         raise ConfigError(
             f"partition bench needs --partitions >= 2 (got {partitions}); "
@@ -340,10 +343,9 @@ def run_partition_bench(
                 },
             }
         )
-    largest = rows[-1] if rows else None
-    return {
-        "benchmark": "locator-partition",
-        "config": {
+    return envelope(
+        "locator-partition",
+        {
             "seed": seed,
             "repeats": repeats,
             "c_max": c_max,
@@ -359,9 +361,42 @@ def run_partition_bench(
                 )
                 for key, (prof, _) in _PROFILES.items()
             },
-            "verified": verify,
         },
-        "tiers": rows,
-        "largest_tier": largest["tier"] if largest else None,
-        "largest_speedup": largest["speedup"] if largest else None,
-    }
+        rows,
+        verify=verify,
+        win="speedup",
+    )
+
+
+SUITE = Suite(
+    name="partition",
+    run=run_partition_bench,
+    tiers=tuple(PARTITION_TIERS),
+    columns={
+        "tier": "tier",
+        "profile": "profile",
+        "edges": "edges",
+        "mono_s": "mono_s",
+        "part_s": "part_s",
+        "speedup": "speedup",
+        "mono_rss_mb": "mono_rss_mb",
+        "part_rss_mb": "part_rss_mb",
+        "cer_delta": lambda row: (
+            row["quality_delta"]["classified_edge_ratio"]
+        ),
+        "equal_p1": verdict_cell("equal_p1"),
+    },
+    title=(
+        "partitioned islandization, {config[partitions]} shards x "
+        "{config[workers]} workers (best-of wall clock, fresh processes)"
+    ),
+    diverged="the partitions=1 oracle and the monolithic locator",
+    verdict=("equal_p1",),
+    flags={
+        "partitions": "partitions",
+        "workers": "workers",
+        "partition_strategy": "strategy",
+        "max_edges": "max_edges",
+        "graph_dir": "graph_dir",
+    },
+)

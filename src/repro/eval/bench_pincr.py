@@ -78,12 +78,14 @@ from repro.core.config import LocatorConfig
 from repro.core.islandizer_incremental import record_islandization
 from repro.core.islandizer_pincremental import ShardFleet
 from repro.errors import ConfigError
-from repro.eval.bench_incremental import DELTA_TIERS, _best, churn_delta
+from repro.eval.bench_incremental import DELTA_TIERS, churn_delta
 from repro.eval.bench_partition import PARTITION_TIERS, partition_bench_graph
+from repro.eval.benchkit import Suite, best_of, envelope, verdict_cell
 from repro.graph.csr import CSRGraph, GraphDelta
 
 __all__ = [
     "PINCR_DELTA_TIERS",
+    "SUITE",
     "run_pincr_bench",
 ]
 
@@ -158,7 +160,7 @@ def _p1_identity(graph: CSRGraph, c_max: int) -> bool:
 
 
 def run_pincr_bench(
-    tiers: Sequence[str] = ("1e1", "1e3", "1e5"),
+    tiers: Sequence[str] = tuple(PINCR_DELTA_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -233,10 +235,10 @@ def run_pincr_bench(
             )
             apply_s = time.perf_counter() - t0
             applied = (mutated, ins_eff, del_eff)
-            (scratch, _), rerecord_s = _best(
+            (scratch, _), rerecord_s = best_of(
                 lambda: fleet.rerecord(mutated, state), repeats
             )
-            upd, update_s = _best(
+            upd, update_s = best_of(
                 lambda: fleet.update(
                     graph, cached, state, delta,
                     max_dirty_fraction=max_dirty_fraction, applied=applied,
@@ -274,9 +276,9 @@ def run_pincr_bench(
             headline = row
         elif crossover is None:
             crossover = row
-    return {
-        "benchmark": "locator-pincremental",
-        "config": {
+    return envelope(
+        "locator-pincremental",
+        {
             "seed": seed,
             "delta_seed": delta_seed,
             "repeats": repeats,
@@ -288,17 +290,48 @@ def run_pincr_bench(
             "max_edges": max_edges,
             "max_dirty_fraction": max_dirty_fraction,
             "p1_identical": p1_identical,
-            "verified": verify,
         },
-        "graph": {
+        rows,
+        verify=verify,
+        graph={
             "tier": graph_tier,
             "profile": PARTITION_TIERS[graph_tier][1],
             "nodes": graph.num_nodes,
             "edges": graph.num_edges // 2,
             "record_s": round(record_s, 4),
         },
-        "tiers": rows,
-        "headline_tier": headline["tier"] if headline else None,
-        "headline_speedup": headline["speedup"] if headline else None,
-        "crossover_delta": crossover["tier"] if crossover else None,
-    }
+        headline_tier=headline["tier"] if headline else None,
+        headline_speedup=headline["speedup"] if headline else None,
+        crossover_delta=crossover["tier"] if crossover else None,
+    )
+
+
+SUITE = Suite(
+    name="pincr",
+    run=run_pincr_bench,
+    tiers=tuple(PINCR_DELTA_TIERS),
+    columns={
+        "delta": "tier",
+        "edits": "delta_edges",
+        "update_s": "update_s",
+        "rerecord_s": "rerecord_s",
+        "speedup": "speedup",
+        "dirty_shards": lambda row: len(row["dirty_shards"]),
+        "fallback": lambda row: str(row["fallback"]),
+        "equal": verdict_cell("equal"),
+    },
+    title=(
+        "shard-routed updates vs full fleet re-record, {config[partitions]} "
+        "shards x {config[workers]} workers (warm fleet, best-of wall clock)"
+    ),
+    diverged="the shard-routed update and the fleet re-record",
+    flags={
+        "partitions": "partitions",
+        "workers": "workers",
+        "partition_strategy": "strategy",
+        "max_edges": "max_edges",
+        "graph_dir": "graph_dir",
+        "delta_seed": "delta_seed",
+    },
+    baseline="full fleet re-record",
+)

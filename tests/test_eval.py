@@ -94,3 +94,26 @@ class TestExperimentRegistry:
         traffic = {row["method"]: row["dram_mb"] for row in result.rows}
         igcn = [v for k, v in traffic.items() if "Islandization" in k][0]
         assert igcn <= min(traffic.values())
+
+
+class TestBenchRepeats:
+    @pytest.mark.parametrize("suite, kwargs", [
+        ("locator", dict(tiers=("1e3",))),
+        ("consumer", dict(tiers=("1e3",))),
+        ("event", dict(tiers=("1e3",))),
+        ("partition", dict(tiers=("2e5",), max_edges=1_000)),
+        ("incremental", dict(tiers=("1e1",), max_edges=1_000)),
+        ("pincr", dict(tiers=("1e1",), max_edges=1_000, partitions=2,
+                       workers=1)),
+    ])
+    def test_zero_repeats_is_a_config_error(self, suite, kwargs, tmp_path):
+        import importlib
+
+        from repro.errors import ConfigError
+
+        module = importlib.import_module(f"repro.eval.bench_{suite}")
+        run = getattr(module, f"run_{suite}_bench")
+        if suite in ("partition", "pincr"):
+            kwargs = dict(kwargs, graph_dir=tmp_path)
+        with pytest.raises(ConfigError, match="repeats must be >= 1"):
+            run(repeats=0, **kwargs)

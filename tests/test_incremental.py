@@ -468,6 +468,10 @@ class TestBenchAndCLI:
         assert "only applies to the incremental and pincr suites" in (
             capsys.readouterr().err
         )
+        assert main(["bench", "partition", "--preagg-k", "12"]) == 2
+        assert "only applies to the consumer and event suites" in (
+            capsys.readouterr().err
+        )
 
     def test_islandize_delta_cli(self, tmp_path, capsys):
         from repro.cli import main
