@@ -73,18 +73,16 @@ def build_interhub_plan(
     *,
     add_self_loops: bool,
 ) -> InterHubPlan:
-    """Expand the canonical inter-hub edge map into directed tasks."""
-    edges = result.interhub_edges
-    directed: list[tuple[int, int]] = []
-    for u, v in edges.tolist():
-        directed.append((u, v))
-        if u != v:
-            directed.append((v, u))
-    directed_arr = (
-        np.asarray(directed, dtype=np.int64).reshape(-1, 2)
-        if directed
-        else np.zeros((0, 2), dtype=np.int64)
-    )
+    """Expand the canonical inter-hub edge map into directed tasks.
+
+    Each canonical edge ``(u, v)`` is followed by its mirror ``(v, u)``;
+    a diagonal entry (``u == v``) appears once.
+    """
+    edges = np.asarray(result.interhub_edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.stack([edges, edges[:, ::-1]], axis=1)
+    keep = np.ones((len(edges), 2), dtype=bool)
+    keep[:, 1] = edges[:, 0] != edges[:, 1]
+    directed_arr = pairs[keep]
     self_hubs = (
         result.hub_ids.copy() if add_self_loops else np.zeros(0, dtype=np.int64)
     )

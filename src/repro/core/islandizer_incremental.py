@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.core.config import LocatorConfig
 from repro.core.islandizer import IslandLocator, _drain
-from repro.core.nputil import cumsum0, flat_gather
+from repro.core.nputil import cumsum0, flat_gather, sorted_unique
 from repro.core.tp_bfs_batched import (
     TASK_CMAX,
     TASK_SEED_HUB,
@@ -416,7 +416,7 @@ def _dirty_region(
     h1_new = new_graph.degrees >= th0
 
     changed_keys = np.concatenate([ins_keys, del_keys])
-    seeds = np.unique(
+    seeds = sorted_unique(
         np.concatenate([changed_keys // n, changed_keys % n])
     )
     seed_stays = h1_old[seeds] & h1_new[seeds]
@@ -428,7 +428,7 @@ def _dirty_region(
     # rows (deleted neighbours included — they are old rows).
     flip_nbrs = _neighbor_mask(old_graph, flip_seeds)
     flip_nbr_ids = np.flatnonzero(flip_nbrs & ~h1_old)
-    dirty_labels = np.unique(
+    dirty_labels = sorted_unique(
         np.concatenate([labels[nonhub_seeds], labels[flip_nbr_ids]])
     )
     dirty_labels = dirty_labels[dirty_labels >= 0]

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.config import LocatorConfig
 from repro.core.islandizer import IslandLocator
+from repro.core.nputil import sorted_unique
 from repro.core.types import (
     ROUND_FIELDS,
     Island,
@@ -312,15 +313,9 @@ def _merge(
             f"boundary edge reaches unclassified node {bad}"
         )
     # (island, hub) attachments DO repeat (one boundary hub, many edges
-    # into the same island): sort + neighbour-diff dedup — same result
-    # as np.unique, several times cheaper than its hash path here.
+    # into the same island).
     span = np.int64(max(n, 1))
-    attach_keys = np.sort(member_isl * span + src[member_mask])
-    if len(attach_keys):
-        first = np.empty(len(attach_keys), dtype=bool)
-        first[0] = True
-        np.not_equal(attach_keys[1:], attach_keys[:-1], out=first[1:])
-        attach_keys = attach_keys[first]
+    attach_keys = sorted_unique(member_isl * span + src[member_mask])
     attach_isl = attach_keys // span
     attach_hub = attach_keys % span
     # Per island, its adjacent boundary hubs (ascending — the key sort

@@ -58,6 +58,7 @@ from repro.core.islandizer_incremental import (
     update_islandization,
 )
 from repro.core.islandizer_partitioned import _merge
+from repro.core.nputil import sorted_unique
 from repro.core.types import IslandizationResult
 from repro.errors import ConfigError, IslandizationError
 from repro.graph.csr import CSRGraph, GraphDelta
@@ -502,10 +503,10 @@ class ShardFleet:
             # decision) and re-record the shards whose interiors
             # shrank.  Re-route afterwards: edits at promoted nodes
             # became boundary edits.
-            promote = np.unique(
+            promote = sorted_unique(
                 np.concatenate([ins_src[cross], ins_dst[cross]])
             )
-            rerecord_ids = {int(p) for p in np.unique(part_of[promote])}
+            rerecord_ids = {int(p) for p in sorted_unique(part_of[promote])}
             part_of = part_of.copy()
             part_of[promote] = -1
             boundary_nodes = np.flatnonzero(part_of < 0)
@@ -531,7 +532,7 @@ class ShardFleet:
             shard_ins[route_ins == ROUTE_INTERIOR],
             shard_del[route_del == ROUTE_INTERIOR],
         ])
-        update_ids = {int(p) for p in np.unique(touched)} - rerecord_ids
+        update_ids = {int(p) for p in sorted_unique(touched)} - rerecord_ids
         dirty = sorted(rerecord_ids | update_ids)
         num = config.partitions
         budget = max(1, int(math.floor(max_dirty_fraction * num)))
@@ -650,8 +651,8 @@ def _evolve_pinned(
     cross = (pu >= 0) & (pv >= 0) & (pu != pv)
     if not cross.any():
         return part_of, boundary_nodes, shard_nodes
-    promote = np.unique(np.concatenate([src[cross], dst[cross]]))
-    shrunk = {int(p) for p in np.unique(part_of[promote])}
+    promote = sorted_unique(np.concatenate([src[cross], dst[cross]]))
+    shrunk = {int(p) for p in sorted_unique(part_of[promote])}
     part_of = part_of.copy()
     part_of[promote] = -1
     boundary_nodes = np.flatnonzero(part_of < 0)

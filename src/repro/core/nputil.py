@@ -5,14 +5,15 @@ the vectorized implementations of Algorithm 1's TP-BFS
 (:mod:`repro.core.tp_bfs_batched`), its task generation, the induced
 subgraph of :meth:`repro.graph.csr.CSRGraph.subgraph` and the Island
 Consumer's task batch (§3.3, :mod:`repro.core.consumer_batched`) are
-built from.
+built from, plus the one sorted-dedup every graph-plumbing path uses
+(:func:`sorted_unique`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumsum0", "flat_gather"]
+__all__ = ["cumsum0", "flat_gather", "sorted_unique"]
 
 
 def cumsum0(values) -> np.ndarray:
@@ -46,3 +47,26 @@ def flat_gather(
     prefix = np.cumsum(counts) - counts
     flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
     return flat, counts, total
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array (``np.unique``).
+
+    Sort plus a neighbour diff: on numpy 2.x, ``np.unique`` of an
+    integer array takes a hash path that is ~60x slower on the
+    multi-million-entry edge keys used here.  Input that is already
+    strictly increasing — the edge keys of every canonical CSR — is
+    detected in one comparison pass and returned as-is, so **the
+    result may alias the input**: do not mutate one and rely on the
+    other.  Otherwise the result is a new array.
+    """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        values = values.ravel()
+    if len(values) < 2 or bool(np.all(values[1:] > values[:-1])):
+        return values
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]

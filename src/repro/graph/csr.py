@@ -26,6 +26,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from repro.core.nputil import cumsum0, flat_gather, sorted_unique
 from repro.errors import GraphError
 from repro.serialize import read_npz, write_npz
 
@@ -368,8 +369,6 @@ class CSRGraph:
         the result is canonical CSR without a re-sort — one vectorised
         gather of the selected rows, filtered to in-set neighbours.
         """
-        from repro.core.nputil import cumsum0, flat_gather
-
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1 or np.any(np.diff(nodes) <= 0):
             raise GraphError("subgraph nodes must be sorted and unique")
@@ -425,13 +424,13 @@ class CSRGraph:
             delta.delete_src.max() >= n or delta.delete_dst.max() >= n
         ):
             raise GraphError("delta deletion endpoints out of range")
-        ins_keys = np.unique(
+        ins_keys = sorted_unique(
             np.concatenate([
                 delta.insert_src * n + delta.insert_dst,
                 delta.insert_dst * n + delta.insert_src,
             ])
         )
-        del_keys = np.unique(
+        del_keys = sorted_unique(
             np.concatenate([
                 delta.delete_src * n + delta.delete_dst,
                 delta.delete_dst * n + delta.delete_src,
@@ -446,15 +445,14 @@ class CSRGraph:
         del_eff = del_keys[_sorted_member(existing, del_keys)]
         kept = existing[~_sorted_member(del_eff, existing)]
         merged = np.insert(kept, np.searchsorted(kept, ins_eff), ins_eff)
-        cols = merged % n
         row_counts = (
             np.bincount(merged // n, minlength=self.num_nodes)
             if self.num_nodes
             else np.zeros(0, np.int64)
         )
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        graph = CSRGraph(indptr=indptr, indices=cols, name=self.name)
+        graph = CSRGraph(
+            indptr=cumsum0(row_counts), indices=merged % n, name=self.name
+        )
         if with_changes:
             return graph, ins_eff, del_eff
         return graph
@@ -488,10 +486,20 @@ class CSRGraph:
         name: str = "graph",
         symmetrize: bool = True,
     ) -> "CSRGraph":
-        """Build a CSR graph from parallel (row, col) arrays.
+        """Build a canonical CSR graph from parallel (row, col) arrays.
 
-        Duplicate entries are removed.  When ``symmetrize`` is true the
-        mirror of every edge is added, making the adjacency symmetric.
+        Entries may come in any order and with duplicates: the result
+        has ascending rows, sorted in-row indices and no duplicate
+        entries.  When ``symmetrize`` is true the mirror of every edge
+        is added, making the adjacency symmetric.
+
+        Canonicalisation is one sorted dedup of the flat keys
+        ``row * num_nodes + col`` (:func:`repro.core.nputil.sorted_unique`).
+        Entries already in strictly increasing key order — a canonical
+        CSR's entries in row-major order, as :meth:`without_self_loops`
+        passes them — skip the sort after one O(nnz) comparison pass.
+        Anything else (unsorted rows, duplicates) is fully sorted, so a
+        non-canonical input still comes out exactly canonical.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -510,15 +518,11 @@ class CSRGraph:
                 np.concatenate([cols, rows]),
             )
         if len(rows):
-            # Deduplicate via a flat key sort; stable and allocation-light.
-            keys = rows * num_nodes + cols
-            keys = np.unique(keys)
+            keys = sorted_unique(rows * num_nodes + cols)
             rows = keys // num_nodes
             cols = keys % num_nodes
         counts = np.bincount(rows, minlength=num_nodes) if num_nodes else np.zeros(0, np.int64)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(indptr=indptr, indices=cols, name=name)
+        return CSRGraph(indptr=cumsum0(counts), indices=cols, name=name)
 
     @staticmethod
     def from_scipy(mat, *, name: str = "graph") -> "CSRGraph":

@@ -38,6 +38,7 @@ from typing import IO
 
 import numpy as np
 
+from repro.core.nputil import sorted_unique
 from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
 from repro.serialize import read_npz, read_npz_mmap, write_npz
@@ -205,7 +206,7 @@ class GraphPartition:
         owned = np.concatenate(
             [s.global_nodes for s in self.shards] + [boundary]
         )
-        if len(owned) != self.num_nodes or len(np.unique(owned)) != len(owned):
+        if len(owned) != self.num_nodes or len(sorted_unique(owned)) != len(owned):
             raise PartitionError("shards + boundary must cover nodes exactly once")
         rows = np.repeat(
             np.arange(graph.num_nodes, dtype=np.int64), graph.degrees

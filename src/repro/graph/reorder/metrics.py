@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.nputil import sorted_unique
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -96,12 +97,11 @@ def working_set_score(graph: CSRGraph, *, block: int = 64) -> float:
     """
     if graph.num_nodes == 0:
         return 0.0
-    total_blocks = 0
-    for u in range(graph.num_nodes):
-        neigh = graph.neighbors(u)
-        if len(neigh) == 0:
-            continue
-        total_blocks += len(np.unique(neigh // block))
+    # Distinct (row, block) pairs over all rows = the per-row distinct
+    # block counts, summed.
+    rows, cols = _edge_arrays(graph)
+    span = graph.num_nodes // block + 1
+    total_blocks = len(sorted_unique(rows * span + cols // block))
     return total_blocks / max(graph.num_nodes, 1)
 
 

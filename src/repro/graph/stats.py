@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.nputil import sorted_unique
 from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphStats", "graph_stats", "connected_components", "degree_histogram"]
@@ -82,7 +83,7 @@ def degree_histogram(graph: CSRGraph, *, bins: int = 20) -> tuple[np.ndarray, np
     """Log-spaced degree histogram; returns (bin_edges, counts)."""
     degrees = graph.degrees
     max_deg = max(1, int(degrees.max()) if len(degrees) else 1)
-    edges = np.unique(
+    edges = sorted_unique(
         np.round(np.logspace(0, np.log10(max_deg + 1), bins)).astype(np.int64)
     )
     counts, _ = np.histogram(degrees, bins=np.append(edges, max_deg + 2))
