@@ -63,6 +63,13 @@ _CHUNK_CELLS = 1 << 24
 #: float64 regardless of how many islands the hottest hub touches.
 _FOLD_BLOCK_ELEMS = 1 << 21
 
+#: Elements one rank-major fold step must move (active hubs x channels)
+#: to stay rank-major; at or below it the remaining ranks fold in dense
+#: blocks.  Measured break-even of the two: below ~512 elements a step is
+#: dominated by its fixed per-call cost, above it a block's zero padding
+#: and extra passes over memory cost more than the steps it saves.
+_FOLD_TAIL_ELEMS = 512
+
 
 def _empty() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
@@ -496,18 +503,17 @@ def run_interhub_batched(state, interhub, meter) -> None:
         state.prc.update_many(interhub.self_loop_hubs, meter)
 
     if state.functional and num_edges + num_self:
-        xw_scaled = state.xw_scaled
-        contrib = np.empty(
-            (num_edges + num_self, xw_scaled.shape[1]), dtype=np.float64
+        # Each contribution is an XW row gathered by index inside the
+        # fold: no (ops, C) copy of the source rows is materialised.
+        sources = np.concatenate((
+            interhub.directed_edges[:, 1], interhub.self_loop_hubs
+        ))
+        targets = np.concatenate((
+            interhub.directed_edges[:, 0], interhub.self_loop_hubs
+        ))
+        _ordered_hub_fold(
+            state, state.hub_pos[targets], state.xw_scaled, sources
         )
-        positions = np.empty(num_edges + num_self, dtype=np.int64)
-        if num_edges:
-            positions[:num_edges] = state.hub_pos[interhub.directed_edges[:, 0]]
-            contrib[:num_edges] = xw_scaled[interhub.directed_edges[:, 1]]
-        if num_self:
-            positions[num_edges:] = state.hub_pos[interhub.self_loop_hubs]
-            contrib[num_edges:] = xw_scaled[interhub.self_loop_hubs]
-        _ordered_hub_fold(state, positions, contrib)
 
 
 def _island_scans(state, batch: TaskBatch, classes: _ScanClasses,
@@ -652,64 +658,73 @@ def _scan_shape_chunk(batch, classes, xw_scaled, out, contrib,
         )
 
 
-def _ordered_hub_fold(state, positions: np.ndarray,
-                      contrib: np.ndarray) -> None:
+def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
+                      index: np.ndarray | None = None) -> None:
     """Accumulate contributions per hub in exact sequential order.
 
-    Additions to *different* hubs commute; within one hub the float
-    left-fold order matters.  Contributions are segmented per hub (the
-    stable sort keeps each segment in arrival order) and folded a block
-    of ranks at a time: the running accumulator seeds row 0 of a dense
-    per-hub block and ``cumsum`` — a strict sequential ``accumulate``,
-    unlike pairwise ``reduce`` — replays the scalar loop's addition
-    sequence bit for bit.  Python-level iterations scale with
-    ``max ranks / block width`` instead of ``max ranks``, so a single
-    hot hub touching thousands of islands no longer degenerates into
-    thousands of one-row scatters.
+    Contribution ``i`` adds ``rows[i]`` (or ``rows[index[i]]``) to hub
+    row ``positions[i]``.  Additions to *different* hubs commute; within
+    one hub the float left-fold order matters.  Contributions are
+    segmented per hub (the stable sort keeps each segment in arrival
+    order) and the hubs are ordered by contribution count, descending,
+    so at rank ``r`` the hubs that still have a contribution form a
+    prefix of length ``n_r``.  Rank by rank, ``acc[:n_r] += rows[...]``
+    is the scalar loop's ``hub_acc[pos] += row`` for every such hub at
+    once: each contribution is moved once, with no padding.
+
+    Once a step would move at most ``_FOLD_TAIL_ELEMS`` elements (active
+    hubs x channels), the remaining ranks fold in budgeted dense blocks
+    instead: the running accumulator seeds row 0 and ``cumsum`` — a
+    strict sequential ``accumulate`` — replays the addition sequence bit
+    for bit.  A block is then about ``_FOLD_BLOCK_ELEMS //
+    _FOLD_TAIL_ELEMS`` ranks wide unless it finishes every hub, so hot
+    hubs touching thousands of islands cost ``ranks / block width``
+    passes rather than one Python-level step per rank.
+    (``np.add.reduceat`` seeded with the accumulator is *not* a strict
+    left fold and is not used.)
     """
-    total = len(positions)
-    if total == 0:
+    if len(positions) == 0:
         return
     order = np.argsort(positions, kind="stable")
+    src = order if index is None else index[order]
     counts_all = np.bincount(positions, minlength=len(state.hub_ids))
     hubs = np.flatnonzero(counts_all)
     seg_starts = _cumsum0(counts_all)[hubs]
-    remaining = counts_all[hubs]
-    done = np.zeros(len(hubs), dtype=np.int64)
-    active = np.arange(len(hubs), dtype=np.int64)
+    counts = counts_all[hubs]
+    by_count = np.argsort(-counts, kind="stable")
+    hubs, seg_starts, counts = (
+        hubs[by_count], seg_starts[by_count], counts[by_count]
+    )
+    # active[r]: hubs with more than r contributions (a prefix).
+    active = len(hubs) - np.cumsum(np.bincount(counts))
     hub_acc = state.hub_acc
-    channels = contrib.shape[1]
-    while len(active):
-        n_act = len(active)
+    acc = hub_acc[hubs]
+    channels = acc.shape[1]
+    rank = 0
+    while active[rank] * channels > _FOLD_TAIL_ELEMS:
+        n = int(active[rank])
+        acc[:n] += rows[src[seg_starts[:n] + rank]]
+        rank += 1
+    while active[rank]:
+        n = int(active[rank])
         width = int(min(
-            int(remaining[active].max()),
-            max(1, _FOLD_BLOCK_ELEMS // (n_act * max(1, channels)) - 1),
+            int(counts[0]) - rank,
+            max(1, _FOLD_BLOCK_ELEMS // (n * max(1, channels)) - 1),
         ))
-        take = np.minimum(remaining[active], width)
+        take = np.minimum(counts[:n] - rank, width)
         taken = int(take.sum())
-        flat_rows = np.repeat(np.arange(n_act, dtype=np.int64), take)
+        flat_hubs = np.repeat(np.arange(n, dtype=np.int64), take)
         inner = (
             np.arange(taken, dtype=np.int64)
             - np.repeat(_cumsum0(take)[:-1], take)
         )
-        src = order[
-            np.repeat(seg_starts[active] + done[active], take) + inner
+        # Zero padding sits past each hub's last rank and is never read.
+        block = np.zeros((n, width + 1, channels), dtype=np.float64)
+        block[:, 0, :] = acc[:n]
+        block[flat_hubs, inner + 1, :] = rows[
+            src[seg_starts[flat_hubs] + rank + inner]
         ]
-        if width == 1:
-            # One rank per hub: a plain scatter-add is the fold.
-            hub_acc[hubs[active]] += contrib[src]
-        else:
-            # Seed row 0 with the running accumulator and cumsum along
-            # the rank axis: ``accumulate`` is a strict left fold, so
-            # row ``take`` holds exactly the scalar addition sequence.
-            # Zero padding sits past each hub's last rank, never read.
-            block = np.zeros((n_act, width + 1, channels), dtype=np.float64)
-            block[:, 0, :] = hub_acc[hubs[active]]
-            block[flat_rows, inner + 1, :] = contrib[src]
-            np.cumsum(block, axis=1, out=block)
-            hub_acc[hubs[active]] = block[
-                np.arange(n_act, dtype=np.int64), take, :
-            ]
-        done[active] += take
-        remaining[active] -= take
-        active = active[remaining[active] > 0]
+        np.cumsum(block, axis=1, out=block)
+        acc[:n] = block[np.arange(n, dtype=np.int64), take, :]
+        rank += width
+    hub_acc[hubs] = acc

@@ -93,7 +93,9 @@ from repro.core.islandizer_incremental import (
     update_islandization,
 )
 from repro.errors import ConfigError
-from repro.eval.benchkit import Suite, best_of, envelope, verdict_cell
+from repro.eval.benchkit import (
+    Suite, best_of, delta_headline, envelope, verdict_cell,
+)
 from repro.graph.csr import CSRGraph, GraphDelta
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
@@ -430,17 +432,6 @@ def run_incremental_bench(
             "dirty_nodes": upd.dirty_nodes,
             "region_nodes": upd.region_nodes,
         })
-    # Headline: the largest delta the incremental path still wins
-    # outright (no fallback).  Crossover: the first ladder point where
-    # the win is gone — by fallback or by measured speedup < 1.
-    winners = [r for r in rows if not r["fallback"]
-               and r["speedup_vs_record"] >= 1.0]
-    headline = winners[-1] if winners else None
-    crossover = next(
-        (r["tier"] for r in rows
-         if r["fallback"] or r["speedup_vs_record"] < 1.0),
-        None,
-    )
     return envelope(
         "locator-incremental",
         {
@@ -457,9 +448,7 @@ def run_incremental_bench(
         rows,
         verify=verify,
         graph={"nodes": graph.num_nodes, "edges": graph.num_edges},
-        headline_tier=headline["tier"] if headline else None,
-        headline_speedup=headline["speedup_vs_record"] if headline else None,
-        crossover_delta=crossover,
+        **delta_headline(rows, "speedup_vs_record"),
     )
 
 

@@ -80,7 +80,9 @@ from repro.core.islandizer_pincremental import ShardFleet
 from repro.errors import ConfigError
 from repro.eval.bench_incremental import DELTA_TIERS, churn_delta
 from repro.eval.bench_partition import PARTITION_TIERS, partition_bench_graph
-from repro.eval.benchkit import Suite, best_of, envelope, verdict_cell
+from repro.eval.benchkit import (
+    Suite, best_of, delta_headline, envelope, verdict_cell,
+)
 from repro.graph.csr import CSRGraph, GraphDelta
 
 __all__ = [
@@ -268,14 +270,6 @@ def run_pincr_bench(
                 "region_nodes": upd.region_nodes,
                 "equal": equal,
             })
-    headline = None
-    crossover = None
-    for row in rows:
-        wins = not row["fallback"] and (row["speedup"] or 0) > 1
-        if wins:
-            headline = row
-        elif crossover is None:
-            crossover = row
     return envelope(
         "locator-pincremental",
         {
@@ -300,9 +294,7 @@ def run_pincr_bench(
             "edges": graph.num_edges // 2,
             "record_s": round(record_s, 4),
         },
-        headline_tier=headline["tier"] if headline else None,
-        headline_speedup=headline["speedup"] if headline else None,
-        crossover_delta=crossover["tier"] if crossover else None,
+        **delta_headline(rows, "speedup"),
     )
 
 

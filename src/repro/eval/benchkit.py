@@ -17,7 +17,10 @@ from typing import Callable, Mapping, TypeVar, Union
 from repro.errors import ConfigError
 from repro.eval.tables import render_table
 
-__all__ = ["Suite", "best_of", "check_repeats", "envelope", "verdict_cell"]
+__all__ = [
+    "Suite", "best_of", "check_repeats", "delta_headline", "envelope",
+    "verdict_cell",
+]
 
 T = TypeVar("T")
 
@@ -68,6 +71,28 @@ def envelope(
         record["largest_speedup"] = largest[win] if largest else None
     record.update(headline)
     return record
+
+
+def delta_headline(rows: list[dict], speedup: str) -> dict:
+    """``headline_*`` and ``crossover_delta`` of a delta suite's ladder.
+
+    A rung wins when it did not fall back and its ``speedup`` field is
+    above 1 (a tie is no win; a ``None`` speedup never wins).  The
+    headline is the last winning rung, the crossover the tier of the
+    first rung that does not win; both are ``None`` when absent.
+    """
+    def wins(row: dict) -> bool:
+        return not row["fallback"] and (row[speedup] or 0) > 1
+
+    winners = [row for row in rows if wins(row)]
+    headline = winners[-1] if winners else None
+    return {
+        "headline_tier": headline["tier"] if headline else None,
+        "headline_speedup": headline[speedup] if headline else None,
+        "crossover_delta": next(
+            (row["tier"] for row in rows if not wins(row)), None
+        ),
+    }
 
 
 def verdict_cell(*keys: str) -> Callable[[dict], str]:

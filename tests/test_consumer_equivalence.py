@@ -238,6 +238,149 @@ class TestHotHubFold:
         assert passes["n"] == 1
         np.testing.assert_array_equal(state.hub_acc[0], expected)
 
+    def test_many_hot_hubs_fold_in_blocks(self):
+        # Sixteen hubs with 3000 ranks each, narrow enough (16 x 8
+        # elements per rank) for the blocked fold: one gather and one
+        # cumsum pass in total, not one Python-level step per rank.
+        from types import SimpleNamespace
+        from unittest import mock
+
+        import repro.core.consumer_batched as consumer_batched
+
+        hubs, ranks, channels = 16, 3000, 8
+        assert hubs * channels <= consumer_batched._FOLD_TAIL_ELEMS
+        rng = np.random.default_rng(5)
+        positions = rng.permutation(
+            np.repeat(np.arange(hubs), ranks).astype(np.int64)
+        )
+        contrib = rng.normal(size=(hubs * ranks, channels))
+        start = rng.normal(size=(hubs, channels))
+        expected = start.copy()
+        for pos, row in zip(positions, contrib):
+            expected[pos] = expected[pos] + row
+
+        class CountingRows:
+            gathers = 0
+
+            def __getitem__(self, index):
+                CountingRows.gathers += 1
+                return contrib[index]
+
+        state = SimpleNamespace(
+            hub_ids=np.arange(hubs), hub_acc=start.copy()
+        )
+        passes = {"n": 0}
+        real_cumsum = np.cumsum
+
+        def counting_cumsum(a, *args, **kwargs):
+            if getattr(a, "ndim", 0) == 3:  # block folds, not cumsum0
+                passes["n"] += 1
+            return real_cumsum(a, *args, **kwargs)
+
+        with mock.patch.object(np, "cumsum", counting_cumsum):
+            consumer_batched._ordered_hub_fold(
+                state, positions, CountingRows()
+            )
+        assert passes["n"] == 1
+        assert CountingRows.gathers == 1
+        assert state.hub_acc.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        small=st.lists(st.integers(1, 3), max_size=60),
+        mid=st.lists(st.integers(4, 80), max_size=20),
+        hot=st.one_of(st.just(0), st.integers(1000, 4000)),
+        idle_hubs=st.integers(0, 5),
+        channels=st.sampled_from([1, 3, 8, 32]),
+        gathered=st.booleans(),
+        block_elems=st.sampled_from([None, 64, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_matches_sequential_loop(
+        self, small, mid, hot, idle_hubs, channels, gathered, block_elems,
+        seed,
+    ):
+        # Skewed rank profiles: many 1-3-rank hubs, a band of hubs on
+        # both sides of the tail threshold (at 8 and 32 channels it
+        # falls at 64 and 16 active hubs) and at most one hot hub, in
+        # shuffled arrival order onto a nonzero accumulator.  The fold
+        # must equal ``acc = acc + row`` per contribution, bitwise, for
+        # a materialised ``contrib`` and for rows gathered by index.
+        from types import SimpleNamespace
+        from unittest import mock
+
+        import repro.core.consumer_batched as consumer_batched
+
+        counts = small + mid + ([hot] if hot else [])
+        rng = np.random.default_rng(seed)
+        num_hubs = len(counts) + idle_hubs
+        hub_of = rng.permutation(num_hubs)[:len(counts)]
+        positions = rng.permutation(
+            np.repeat(hub_of, counts).astype(np.int64)
+        )
+        total = len(positions)
+        if gathered:
+            rows = rng.normal(size=(max(1, total // 3), channels))
+            index = rng.integers(0, len(rows), size=total)
+        else:
+            rows = rng.normal(size=(total, channels))
+            index = None
+        start = rng.normal(size=(num_hubs, channels))
+        expected = start.copy()
+        for i, pos in enumerate(positions):
+            expected[pos] = expected[pos] + rows[i if index is None else index[i]]
+        state = SimpleNamespace(
+            hub_ids=np.arange(num_hubs), hub_acc=start.copy()
+        )
+        budget = block_elems or consumer_batched._FOLD_BLOCK_ELEMS
+        with mock.patch.object(consumer_batched, "_FOLD_BLOCK_ELEMS", budget):
+            consumer_batched._ordered_hub_fold(state, positions, rows, index)
+        assert state.hub_acc.tobytes() == expected.tobytes()
+
+    def test_interhub_fold_gathers_rows_in_place(self):
+        # Functional inter-hub phase on a hub-dense plan (every ordered
+        # hub pair): its allocation peak must stay below one (ops, C)
+        # float64 matrix, i.e. the contribution rows are gathered from
+        # XW by index instead of being copied out first.  Output still
+        # equals the scalar loop bitwise.
+        import tracemalloc
+
+        from repro.core.consumer_batched import run_interhub_batched
+
+        graph = barabasi_albert(600, 3, seed=1)
+        result = islandize(graph)
+        hubs = result.hub_ids[:150]
+        src, dst = np.meshgrid(hubs, hubs, indexing="ij")
+        off_diagonal = src != dst
+        plan = InterHubPlan(
+            directed_edges=np.stack(
+                [dst[off_diagonal], src[off_diagonal]], axis=1
+            ),
+            self_loop_hubs=result.hub_ids.copy(),
+        )
+        layer = LayerSpec(12, 32)
+        norm = normalization_for(graph, "gcn-sym")
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(graph.num_nodes, layer.in_dim))
+        w = rng.normal(size=(layer.in_dim, layer.out_dim))
+        consumer = IslandConsumer()
+        states = [
+            consumer._layer_setup(
+                result, norm, layer, layer_index=0, meter=TrafficMeter(),
+                x=x, w=w, feature_density=1.0, functional=True,
+            )
+            for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            run_interhub_batched(states[0], plan, TrafficMeter())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        consumer._run_scalar_interhub(states[1], plan, TrafficMeter())
+        assert peak < plan.num_ops * layer.out_dim * 8
+        assert states[0].hub_acc.tobytes() == states[1].hub_acc.tobytes()
+
 
 class TestSpillingCaches:
     """Undersized on-chip caches: per-call spill rounding must match."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eval import render_table, spy
+from repro.eval.benchkit import delta_headline
 from repro.eval.experiments import experiment_fig11, experiment_table1
 from repro.eval.spyplot import density_grid
 from repro.eval.tables import format_value
@@ -117,3 +118,40 @@ class TestBenchRepeats:
             kwargs = dict(kwargs, graph_dir=tmp_path)
         with pytest.raises(ConfigError, match="repeats must be >= 1"):
             run(repeats=0, **kwargs)
+
+
+class TestDeltaHeadline:
+    """One win rule for both delta suites: no fallback and speedup > 1."""
+
+    @staticmethod
+    def _rung(tier, speedup, fallback=False):
+        return {"tier": tier, "speedup": speedup, "fallback": fallback}
+
+    def test_last_win_is_headline_first_loss_is_crossover(self):
+        rows = [self._rung("1e1", 17.8), self._rung("1e3", 5.0),
+                self._rung("1e5", 0.8)]
+        assert delta_headline(rows, "speedup") == {
+            "headline_tier": "1e3", "headline_speedup": 5.0,
+            "crossover_delta": "1e5",
+        }
+
+    def test_tie_at_one_is_no_win(self):
+        rows = [self._rung("1e1", 2.0), self._rung("1e3", 1.0),
+                self._rung("1e5", 1.5)]
+        out = delta_headline(rows, "speedup")
+        assert out["crossover_delta"] == "1e3"
+        assert (out["headline_tier"], out["headline_speedup"]) == ("1e5", 1.5)
+
+    def test_fallback_rung_never_wins(self):
+        rows = [self._rung("1e1", 3.0, fallback=True),
+                self._rung("1e3", None)]
+        assert delta_headline(rows, "speedup") == {
+            "headline_tier": None, "headline_speedup": None,
+            "crossover_delta": "1e1",
+        }
+
+    def test_empty_ladder(self):
+        assert delta_headline([], "speedup_vs_record") == {
+            "headline_tier": None, "headline_speedup": None,
+            "crossover_delta": None,
+        }
