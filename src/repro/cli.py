@@ -552,7 +552,7 @@ def _cmd_run(args) -> int:
         validate_trace(report.event)
         sim = report.event
         print(f"event trace valid: {len(sim.trace)} events, "
-              f"{len(sim.islands)} units, makespan "
+              f"{len(sim.units)} units, makespan "
               f"{sim.makespan:.1f} cycles")
     if args.functional:
         import numpy as np

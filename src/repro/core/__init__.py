@@ -19,6 +19,7 @@ from repro.core.schedule import PEScheduleReport, ScheduledTask, schedule_island
 from repro.core.types import (
     Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundOutput,
     RoundStats,
@@ -51,6 +52,7 @@ __all__ = [
     "streamed_schedule",
     "Island",
     "IslandizationResult",
+    "IslandTable",
     "LocatorWork",
     "RoundOutput",
     "RoundStats",

@@ -459,20 +459,23 @@ class IGCNAccelerator:
         _, chunks = streamed_schedule(
             round_cycles, round_work.tolist(), consumer_cycles
         )
-        round_index = {
-            stats.round_id: idx for idx, stats in enumerate(result.rounds)
-        }
+        table = result.islands
+        round_of = np.searchsorted(
+            [stats.round_id for stats in result.rounds], table.round_id
+        )
+        work = (table.member_counts + table.hub_counts).astype(np.float64)
+        hubs, hub_offsets = table.hubs.tolist(), table.hub_offsets.tolist()
         round_islands: list[list[tuple[int, float, tuple[int, ...]]]] = [
             [] for _ in round_cycles
         ]
-        for island_id, island in enumerate(result.islands):
-            round_islands[round_index[island.round_id]].append(
-                (
-                    island_id,
-                    float(island.num_members + island.num_hubs),
-                    tuple(int(h) for h in island.hubs),
-                )
-            )
+        for island_id, (r, size) in enumerate(
+            zip(round_of.tolist(), work.tolist())
+        ):
+            round_islands[r].append((
+                island_id,
+                size,
+                tuple(hubs[hub_offsets[island_id]:hub_offsets[island_id + 1]]),
+            ))
         sim = simulate_events(
             round_cycles,
             round_islands,

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.nputil import cumsum0 as _cumsum0, sorted_unique
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
-from repro.core.types import IslandizationResult
+from repro.core.types import IslandizationResult, IslandTable
 from repro.errors import SimulationError
 
 __all__ = [
@@ -152,12 +152,17 @@ class TaskBatch:
 
     @classmethod
     def from_islands(
-        cls, graph, islands, *, add_self_loops: bool, scratch: dict | None = None
+        cls,
+        graph,
+        islands: IslandTable,
+        *,
+        add_self_loops: bool,
+        scratch: dict | None = None,
     ) -> "TaskBatch":
-        """Pack an explicit island sequence against ``graph``'s CSR.
+        """Pack an island table against ``graph``'s CSR.
 
-        ``islands`` may be any subset of an islandization — in the
-        streamed pipeline it is one round's chunk from a
+        ``islands`` may be any slice of an islandization's table — in
+        the streamed pipeline it is one round's chunk from a
         :class:`~repro.core.types.RoundOutput`, assembled while the
         locator is still producing later rounds.  Task packing is
         island-local, so a per-round slice holds exactly the entries
@@ -171,30 +176,18 @@ class TaskBatch:
         clean state (written positions reset) before returning, which
         keeps reuse exact for any island subset.
         """
-        islands = list(islands)
         num_tasks = len(islands)
         n = graph.num_nodes
-        num_hubs = np.fromiter(
-            (i.num_hubs for i in islands), dtype=np.int64, count=num_tasks
-        )
-        num_members = np.fromiter(
-            (i.num_members for i in islands), dtype=np.int64, count=num_tasks
-        )
+        num_hubs = islands.hub_counts
+        num_members = islands.member_counts
         num_locals = num_hubs + num_members
         local_offsets = _cumsum0(num_locals)
-        hub_offsets = _cumsum0(num_hubs)
-        member_offsets = _cumsum0(num_members)
+        hub_offsets = islands.hub_offsets
+        member_offsets = islands.member_offsets
         total_hubs = int(hub_offsets[-1])
         total_members = int(member_offsets[-1])
-        if num_tasks:
-            hubs_flat = np.concatenate(
-                [i.hubs for i in islands]
-            ).astype(np.int64, copy=False)
-            members_flat = np.concatenate(
-                [i.members for i in islands]
-            ).astype(np.int64, copy=False)
-        else:
-            hubs_flat, members_flat = _empty(), _empty()
+        hubs_flat = islands.hubs
+        members_flat = islands.members
 
         # Interleave into the per-task [hubs..., members...] local order.
         local_nodes = np.empty(int(local_offsets[-1]), dtype=np.int64)

@@ -122,7 +122,7 @@ class EventSimResult:
     round_starts: tuple[float, ...]  # release L_r of each round
     round_cycles: tuple[float, ...]  # locator span cyc_r of each round
     makespan: float                 # last compute completion (0 if idle)
-    islands: tuple[IslandLatency, ...]   # all units, id order per round
+    units: tuple[IslandLatency, ...]     # all units, id order per round
     trace: tuple[tuple, ...]        # time-sorted canonical event log
     pe_busy: tuple[float, ...]      # per-PE busy time (cycles)
     cache_entries: int
@@ -141,7 +141,7 @@ class EventSimResult:
     @property
     def work_total(self) -> float:
         """Array-cycles of work served (== the consumer chunk total)."""
-        return sum(unit.work for unit in self.islands)
+        return sum(unit.work for unit in self.units)
 
     @property
     def busy_pe_cycles(self) -> float:
@@ -151,7 +151,7 @@ class EventSimResult:
     def latencies(self) -> np.ndarray:
         """Per-*island* latencies, excluding synthetic round carriers."""
         return np.asarray(
-            [u.latency for u in self.islands if u.island_id >= 0],
+            [u.latency for u in self.units if u.island_id >= 0],
             dtype=np.float64,
         )
 
@@ -456,7 +456,7 @@ def simulate_events(
         round_starts=tuple(round_starts),
         round_cycles=tuple(float(c) for c in round_cycles),
         makespan=makespan,
-        islands=tuple(records),
+        units=tuple(records),
         trace=tuple(trace),
         pe_busy=tuple(pe_busy),
         cache_entries=cache_entries,
@@ -612,9 +612,9 @@ def validate_trace(result: EventSimResult) -> None:
                      f"[{a0},{a1}] and [{b0},{b1}]")
 
     # Cross-check the records against the replay.
-    if len(result.islands) != len(releases):
+    if len(result.units) != len(releases):
         fail("record count disagrees with the trace")
-    for unit in result.islands:
+    for unit in result.units:
         if unit.island_id not in releases:
             fail(f"record for unit {unit.island_id} has no trace events")
         if abs(releases[unit.island_id][0] - unit.release) > _EPS:

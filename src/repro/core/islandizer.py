@@ -42,8 +42,8 @@ from repro.core.nputil import flat_gather
 from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
 from repro.core.tp_bfs_batched import TASK_OUTCOME_CODES, execute_round_batched
 from repro.core.types import (
-    Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundOutput,
     RoundStats,
@@ -54,8 +54,6 @@ from repro.graph.csr import CSRGraph
 __all__ = ["IslandLocator", "islandize"]
 
 _MAX_ROUNDS = 1000  # safety net; real runs finish in < 20 rounds
-
-_NO_HUBS = np.zeros(0, dtype=np.int64)
 
 
 class _GreedyEngineDispatch:
@@ -221,7 +219,8 @@ class IslandLocator:
         )
         csr_lists: dict = {}  # lazily filled list-CSR cache for walks
 
-        islands: list[Island] = []
+        tables: list[IslandTable] = []   # one per round
+        num_islands = 0
         hub_ids: list[int] = []
         hub_rounds: list[int] = []
         interhub: set[tuple[int, int]] = set()
@@ -240,7 +239,6 @@ class IslandLocator:
                 raise IslandizationError(
                     f"locator failed to converge after {_MAX_ROUNDS} rounds"
                 )
-            round_first_island = len(islands)
             detection = detect_new_hubs(degrees, classified, threshold)
             new_hubs = detection.new_hubs
             classified[new_hubs] = True
@@ -248,14 +246,15 @@ class IslandLocator:
             num_classified += len(new_hubs)
             hub_ids.extend(new_hubs.tolist())
             hub_rounds.extend([round_id] * len(new_hubs))
+            # Isolated nodes become singleton islands, ahead of the
+            # round's TP-BFS islands.
             isolated = detection.isolated
-            islands.extend(
-                Island.from_trusted_arrays(
-                    round_id=round_id,
-                    members=isolated[i:i + 1],
-                    hubs=_NO_HUBS,
-                )
-                for i in range(len(isolated))
+            singletons = IslandTable(
+                members=isolated,
+                member_offsets=np.arange(len(isolated) + 1, dtype=np.int64),
+                hubs=np.zeros(0, dtype=np.int64),
+                hub_offsets=np.zeros(len(isolated) + 1, dtype=np.int64),
+                round_id=np.full(len(isolated), round_id, dtype=np.int64),
             )
             classified[isolated] = True
             num_classified += len(isolated)
@@ -284,21 +283,11 @@ class IslandLocator:
                 outcome = execute_round_batched(
                     graph, csr_rows, is_hub, classified, config.c_max,
                     task_hubs, task_seeds, interhub_keys, csr_lists,
+                    round_id,
                 )
-                islands.extend(
-                    Island.from_trusted_arrays(
-                        round_id=round_id,
-                        members=members,
-                        hubs=hubs,
-                    )
-                    for members, hubs in outcome.islands
-                )
-                if outcome.islands:
-                    new_members = np.concatenate(
-                        [members for members, _ in outcome.islands]
-                    )
-                    classified[new_members] = True
-                    num_classified += len(new_members)
+                found = outcome.islands
+                classified[found.members] = True
+                num_classified += len(found.members)
                 if len(outcome.new_interhub_keys):
                     # New keys are sorted and disjoint from the known
                     # set; a stable sort of the concatenation is a
@@ -315,8 +304,8 @@ class IslandLocator:
                     outcome.task_scans > 0
                 ].tolist():
                     dispatch.add(scans)
-                tally.islands_found = outcome.islands_found
-                tally.nodes_islanded = outcome.nodes_islanded
+                tally.islands_found = len(found)
+                tally.nodes_islanded = len(found.members)
                 tally.dropped_classified = outcome.dropped_classified
                 tally.dropped_visited = outcome.dropped_visited
                 tally.dropped_cmax = outcome.dropped_cmax
@@ -341,11 +330,12 @@ class IslandLocator:
                     if tap is not None
                     else None
                 )
-                num_classified += self._run_round_scalar(
+                found = self._run_round_scalar(
                     graph, degrees, threshold, round_id, visited_round,
-                    task_hubs, task_seeds, islands, classified, interhub,
+                    task_hubs, task_seeds, classified, interhub,
                     dispatch, tally, tap_arrays,
                 )
+                num_classified += len(found.members)
                 if tap is not None:
                     tap(round_id, task_hubs, task_seeds, *tap_arrays)
 
@@ -372,12 +362,14 @@ class IslandLocator:
             total_detect += detection.detect_items
             total_scans += tally.scans
 
+            tables.append(IslandTable.concatenate([singletons, found]))
             yield RoundOutput(
                 stats=rounds[-1],
-                islands=tuple(islands[round_first_island:]),
+                islands=tables[-1],
                 new_hub_ids=new_hubs,
-                first_island_id=round_first_island,
+                first_island_id=num_islands,
             )
+            num_islands += len(tables[-1])
 
             threshold = config.next_threshold(threshold)
             round_id += 1
@@ -403,7 +395,7 @@ class IslandLocator:
         )
         return IslandizationResult(
             graph=graph,
-            islands=islands,
+            islands=IslandTable.concatenate(tables),
             hub_ids=np.asarray(hub_ids, dtype=np.int64),
             hub_round=np.asarray(hub_rounds, dtype=np.int64),
             interhub_edges=interhub_arr,
@@ -421,16 +413,15 @@ class IslandLocator:
         visited_round: np.ndarray,
         task_hubs: np.ndarray,
         task_seeds: np.ndarray,
-        islands: list[Island],
         classified: np.ndarray,
         interhub: set[tuple[int, int]],
         dispatch: _GreedyEngineDispatch,
         tally: _Round,
         tap_arrays: tuple[np.ndarray, ...] | None = None,
-    ) -> int:
+    ) -> IslandTable:
         """One round of Th3 through the per-edge oracle loop.
 
-        Returns the number of nodes newly classified (islanded).
+        Returns the round's TP-BFS islands, in task order.
         ``tap_arrays`` (optional, pre-zeroed ``(scans, fetches, bytes,
         outcomes)``) collects each task's counters by task index for
         the stream's ``tap`` callback.
@@ -439,7 +430,8 @@ class IslandLocator:
         state = BFSRoundState.create(
             graph, degrees, threshold, config.c_max, round_id, visited_round
         )
-        newly_classified = 0
+        members_found: list[np.ndarray] = []
+        hubs_found: list[np.ndarray] = []
         for pos, (hub, a0) in enumerate(
             zip(task_hubs.tolist(), task_seeds.tolist())
         ):
@@ -454,15 +446,9 @@ class IslandLocator:
                 tap_arrays[3][pos] = TASK_OUTCOME_CODES[result.outcome]
             if result.outcome is TaskOutcome.ISLAND:
                 members = np.asarray(result.members, dtype=np.int64)
-                islands.append(
-                    Island.from_trusted_arrays(
-                        round_id=round_id,
-                        members=members,
-                        hubs=np.asarray(result.hubs, dtype=np.int64),
-                    )
-                )
+                members_found.append(members)
+                hubs_found.append(np.asarray(result.hubs, dtype=np.int64))
                 classified[members] = True
-                newly_classified += len(members)
                 tally.islands_found += 1
                 tally.nodes_islanded += len(members)
             elif result.outcome is TaskOutcome.SEED_IS_HUB:
@@ -478,7 +464,9 @@ class IslandLocator:
         tally.scans = state.scans
         tally.fetches = state.adjacency_fetches
         tally.bytes = state.adjacency_bytes
-        return newly_classified
+        return IslandTable.from_lists(
+            np.full(len(members_found), round_id), members_found, hubs_found
+        )
 
 
 def _drain(

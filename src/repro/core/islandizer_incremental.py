@@ -83,8 +83,8 @@ from repro.core.tp_bfs_batched import (
 )
 from repro.core.types import (
     ROUND_FIELDS,
-    Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundOutput,
     RoundStats,
@@ -116,6 +116,12 @@ _LOG_FIELDS: tuple[str, ...] = (
     "log_outcomes",
 )
 
+#: Per-island arrays that format-1 archives written before the island
+#: table carried; each is now a column read of the result's table.
+_DERIVED_KEYS: frozenset[str] = frozenset(
+    {"island_round", "island_seed", "island_size"}
+)
+
 
 @dataclass(frozen=True)
 class IncrementalState:
@@ -142,13 +148,13 @@ class IncrementalState:
         Per-node round of classification: an island member's island
         round, a hub's detection round.  Detection-side counters of
         the dirty region fold from this without re-running it.
-    island_round, island_seed, island_size, winner_hubs:
-        Per island, aligned with the result's island list: the round,
-        first member (``members[0]``), member count, and the hub of
+    winner_hubs:
+        Per island, aligned with the result's island table: the hub of
         the task that won the island (``-1`` for singletons).
         ``(winner_hub, members[0])`` is each island's winning-task
         key, which orders islands within a round — the merge key for
-        splicing clean islands against re-run ones.
+        splicing clean islands against re-run ones.  The island's
+        round, first member and size are columns of the table itself.
     log_hubs, log_seeds, log_scans, log_fetches, log_bytes, log_outcomes:
         The full task log: per round, in task order, one entry per
         Th2-generated task with its TP-BFS scan count, adjacency
@@ -165,9 +171,6 @@ class IncrementalState:
     th0: int
     comp_labels: np.ndarray
     class_round: np.ndarray
-    island_round: np.ndarray
-    island_seed: np.ndarray
-    island_size: np.ndarray
     winner_hubs: np.ndarray
     log_hubs: np.ndarray
     log_seeds: np.ndarray
@@ -195,9 +198,6 @@ class IncrementalState:
             {
                 "comp_labels": self.comp_labels,
                 "class_round": self.class_round,
-                "island_round": self.island_round,
-                "island_seed": self.island_seed,
-                "island_size": self.island_size,
                 "winner_hubs": self.winner_hubs,
                 "log_hubs": self.log_hubs,
                 "log_seeds": self.log_seeds,
@@ -218,8 +218,15 @@ class IncrementalState:
 
     @classmethod
     def _from_arrays(cls, arrays: dict, meta: dict) -> "IncrementalState":
-        """Build from already-parsed npz payload (format-dispatch hook)."""
-        return cls(th0=int(meta["th0"]), **arrays)
+        """Build from already-parsed npz payload (format-dispatch hook).
+
+        Older format-1 archives also hold the per-island round, seed
+        and size arrays; those are ignored.
+        """
+        return cls(
+            th0=int(meta["th0"]),
+            **{k: v for k, v in arrays.items() if k not in _DERIVED_KEYS},
+        )
 
 
 @dataclass(frozen=True)
@@ -242,41 +249,28 @@ class IncrementalUpdate:
 # ----------------------------------------------------------------------
 # Recording runs
 # ----------------------------------------------------------------------
-def _chunk_metadata(
-    islands: tuple[Island, ...] | list[Island],
-    task_hubs: np.ndarray,
-    task_seeds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Winner hubs + (seed, size) metadata of one round's islands.
+def _winner_hubs(
+    islands: IslandTable, task_hubs: np.ndarray, task_seeds: np.ndarray
+) -> np.ndarray:
+    """Hub of the task that won each of one round's islands.
 
     An island's winning task is the first task (in task order) whose
     seed equals ``members[0]``: any earlier task in the same component
     would have won and re-seeded the island, and an earlier same-seed
     task either won (same task) or poisoned the component.  Winners
-    are ``-1`` for isolated-node singletons.
+    are ``-1`` for isolated-node singletons (the islands without hubs).
     """
-    k = len(islands)
-    seed0 = np.empty(k, dtype=np.int64)
-    sizes = np.empty(k, dtype=np.int64)
-    winners = np.full(k, -1, dtype=np.int64)
-    member_arrays: list[np.ndarray] = []
-    tp_pos: list[int] = []
-    for i, isl in enumerate(islands):
-        members = isl.members
-        seed0[i] = members[0]
-        sizes[i] = len(members)
-        member_arrays.append(members)
-        if len(isl.hubs):
-            tp_pos.append(i)
-    if tp_pos:
+    winners = np.full(len(islands), -1, dtype=np.int64)
+    tp = np.flatnonzero(islands.hub_counts > 0)
+    if len(tp):
+        seed0 = islands.seeds[tp]
         order = np.argsort(task_seeds, kind="stable")
         sorted_seeds = task_seeds[order]
-        tp = np.asarray(tp_pos, dtype=np.int64)
-        pos = np.searchsorted(sorted_seeds, seed0[tp])
-        if np.any(sorted_seeds[pos] != seed0[tp]):
+        pos = np.searchsorted(sorted_seeds, seed0)
+        if np.any(sorted_seeds[np.minimum(pos, len(sorted_seeds) - 1)] != seed0):
             raise IslandizationError("incremental: island seed missing from queue")
         winners[tp] = task_hubs[order[pos]]
-    return winners, seed0, sizes, member_arrays
+    return winners
 
 
 def _round1_labels(graph: CSRGraph, degrees: np.ndarray, th0: int) -> np.ndarray:
@@ -300,20 +294,15 @@ def _record(
     ``comp_labels``, in the stream's own node ids.
     """
     log: list[tuple[np.ndarray, ...]] = []
-    meta: list[tuple[np.ndarray, ...]] = []
+    winners: list[np.ndarray] = []
     class_round = np.full(num_nodes, -1, dtype=np.int64)
 
     def tap(round_id: int, *arrays: np.ndarray) -> None:
         log.append(arrays)
 
     def on_round(chunk: RoundOutput) -> None:
-        winners, seed0, sizes, member_arrays = _chunk_metadata(
-            chunk.islands, log[-1][0], log[-1][1]
-        )
-        rounds = np.full(len(winners), chunk.round_id, dtype=np.int64)
-        meta.append((rounds, seed0, sizes, winners))
-        if member_arrays:
-            class_round[np.concatenate(member_arrays)] = chunk.round_id
+        winners.append(_winner_hubs(chunk.islands, log[-1][0], log[-1][1]))
+        class_round[chunk.islands.members] = chunk.round_id
         class_round[chunk.new_hub_ids] = chunk.round_id
 
     result = _drain(start(tap=tap), on_round)
@@ -323,10 +312,7 @@ def _record(
 
     return result, {
         "class_round": class_round,
-        "island_round": cat(meta, 0),
-        "island_seed": cat(meta, 1),
-        "island_size": cat(meta, 2),
-        "winner_hubs": cat(meta, 3),
+        "winner_hubs": np.concatenate(winners) if winners else _EMPTY,
         "log_hubs": cat(log, 0),
         "log_seeds": cat(log, 1),
         "log_scans": cat(log, 2),
@@ -477,7 +463,7 @@ class _SubRun:
 
     rounds: list[RoundStats]
     bfs_scans: int
-    islands: list[Island]
+    islands: IslandTable
     hub_ids: np.ndarray
     hub_round: np.ndarray
     interhub_edges: np.ndarray
@@ -516,19 +502,12 @@ def _run_sub(
     )
     winners = record["winner_hubs"]
     winners[winners >= 0] = region[winners[winners >= 0]]
-    for key in ("island_seed", "log_hubs", "log_seeds"):
+    for key in ("log_hubs", "log_seeds"):
         record[key] = region[record[key]]
     return _SubRun(
         rounds=result.rounds,
         bfs_scans=result.work.total_bfs_scans,
-        islands=[
-            Island.from_trusted_arrays(
-                round_id=isl.round_id,
-                members=region[isl.members],
-                hubs=region[isl.hubs],
-            )
-            for isl in result.islands
-        ],
+        islands=result.islands.relabel(region),
         hub_ids=region[result.hub_ids],
         hub_round=result.hub_round,
         interhub_edges=region[result.interhub_edges],
@@ -605,13 +584,14 @@ def _old_dirty_stats(
 
     # islands_found / nodes_islanded count TP-BFS islands only —
     # isolated-node singletons (winner -1) are excluded by the locator.
-    dirty_tp = dn_mask[state.island_seed] & (state.winner_hubs >= 0)
+    table = cached.islands
+    dirty_tp = dn_mask[table.seeds] & (state.winner_hubs >= 0)
     islands_found = np.bincount(
-        state.island_round[dirty_tp], minlength=minlength
+        table.round_id[dirty_tp], minlength=minlength
     )[1:].astype(np.int64)
     nodes_islanded = np.bincount(
-        state.island_round[dirty_tp],
-        weights=state.island_size[dirty_tp].astype(np.float64),
+        table.round_id[dirty_tp],
+        weights=table.member_counts[dirty_tp].astype(np.float64),
         minlength=minlength,
     )[1:].astype(np.int64)
 
@@ -730,7 +710,7 @@ def _splice_islands(
     sub: _SubRun,
     n: int,
     r_new: int,
-) -> tuple[list[Island], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[IslandTable, np.ndarray]:
     """Merge clean islands with the sub-run's, in full-run order.
 
     The full run emits isolated-node singletons first (ascending node
@@ -741,28 +721,26 @@ def _splice_islands(
     and seed are adjacent, so a shared key would make a clean task
     dirty).  Sorting the union by ``(round, is_tp, key)`` therefore
     reproduces the full run's island order exactly.  Returns the new
-    island list plus its (round, seed, size, winner) metadata arrays.
+    island table (one segment gather over the cached table followed by
+    the sub-run's) plus its winner hubs.
     """
-    clean_idx = np.flatnonzero(~dn_mask[state.island_seed])
+    clean, fresh = cached.islands, sub.islands
+    clean_idx = np.flatnonzero(~dn_mask[clean.seeds])
     _check(
-        bool(np.all(state.island_round[clean_idx] <= r_new)),
+        bool(np.all(clean.round_id[clean_idx] <= r_new)),
         "clean island beyond the folded round count",
     )
-    rec = sub.record
 
-    def merged(field: str) -> np.ndarray:
-        return np.concatenate([getattr(state, field)[clean_idx], rec[field]])
+    def merged(clean_col: np.ndarray, sub_col: np.ndarray) -> np.ndarray:
+        return np.concatenate([clean_col[clean_idx], sub_col])
 
-    rounds_all = merged("island_round")
-    seeds_all = merged("island_seed")
-    sizes_all = merged("island_size")
-    winners_all = merged("winner_hubs")
-    from_sub = np.concatenate([
-        np.zeros(len(clean_idx), dtype=bool),
-        np.ones(len(sub.islands), dtype=bool),
-    ])
+    rounds_all = merged(clean.round_id, fresh.round_id)
+    seeds_all = merged(clean.seeds, fresh.seeds)
+    sizes_all = merged(clean.member_counts, fresh.member_counts)
+    winners_all = merged(state.winner_hubs, sub.record["winner_hubs"])
+    # Island ids in the (cached, sub-run) concatenation.
     refs_all = np.concatenate([
-        clean_idx, np.arange(len(sub.islands), dtype=np.int64)
+        clean_idx, len(clean) + np.arange(len(fresh), dtype=np.int64)
     ])
 
     is_tp = winners_all >= 0
@@ -772,30 +750,8 @@ def _splice_islands(
     )
     key = np.where(is_tp, winners_all * np.int64(n) + seeds_all, seeds_all)
     order = np.lexsort((key, is_tp, rounds_all))
-    from_sub = from_sub[order]
-    refs = refs_all[order]
-
-    # Island ids are positional, so islands are reused by reference.
-    # Consecutive islands of one source form runs (the sub-run's
-    # islands interleave at ~one spot per dirty component), so the
-    # splice extends whole list slices instead of appending one at a
-    # time.
-    num = len(refs)
-    brk = np.ones(num, dtype=bool)
-    if num > 1:
-        brk[1:] = (from_sub[1:] != from_sub[:-1]) | (refs[1:] != refs[:-1] + 1)
-    starts = np.flatnonzero(brk)
-    lengths = np.diff(np.append(starts, num))
-    islands_out: list[Island] = []
-    for dirty, ref, seg in zip(
-        from_sub[starts].tolist(), refs[starts].tolist(), lengths.tolist()
-    ):
-        source = sub.islands if dirty else cached.islands
-        islands_out.extend(source[ref:ref + seg])
-    return (
-        islands_out, rounds_all[order], seeds_all[order], sizes_all[order],
-        winners_all[order],
-    )
+    table = IslandTable.concatenate([clean, fresh]).take(refs_all[order])
+    return table, winners_all[order]
 
 
 def _full_rebuild(
@@ -947,7 +903,7 @@ def update_islandization(
         len(state.winner_hubs) == len(cached.islands),
         "island metadata does not cover the cached islands",
     )
-    islands_out, isl_round, isl_seed, isl_size, isl_winner = _splice_islands(
+    islands_out, isl_winner = _splice_islands(
         cached, state, dn_mask, sub, n, r_new
     )
     _check(
@@ -1137,9 +1093,6 @@ def update_islandization(
         th0=th0,
         comp_labels=new_labels,
         class_round=new_class_round,
-        island_round=isl_round,
-        island_seed=isl_seed,
-        island_size=isl_size,
         winner_hubs=isl_winner,
         log_hubs=full_log[0],
         log_seeds=full_log[1],

@@ -71,6 +71,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.core.nputil import cumsum0, flat_gather
 from repro.core.tp_bfs import TaskOutcome
+from repro.core.types import IslandTable
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
 
@@ -122,17 +123,19 @@ _LEVELWISE_CMAX = 512
 class BatchedRoundOutcome:
     """Everything one batched Th3 round hands back to the locator.
 
-    ``islands`` are (members, hubs) pairs in the scalar path's append
-    order (winning-task order); ``task_scans``, ``task_fetches``,
-    ``task_bytes`` and ``task_outcomes`` hold each task's scan count,
-    adjacency fetches/bytes and outcome code *in task order* — the
-    scans drive the engine-dispatch replay, and the full per-task
-    attribution is what lets incremental islandization subtract a
-    dirty region's contribution from cached counters without
-    re-running the old graph.
+    ``islands`` is the round's TP-BFS :class:`IslandTable`, in the
+    scalar path's append order (winning-task order); ``task_scans``,
+    ``task_fetches``, ``task_bytes`` and ``task_outcomes`` hold each
+    task's scan count, adjacency fetches/bytes and outcome code *in
+    task order* — the scans drive the engine-dispatch replay, and the
+    full per-task attribution is what lets incremental islandization
+    subtract a dirty region's contribution from cached counters
+    without re-running the old graph.
     """
 
-    islands: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    islands: IslandTable = field(
+        default_factory=lambda: IslandTable.from_lists((), [], [])
+    )
     new_interhub_keys: np.ndarray = field(default_factory=lambda: _EMPTY)
     dropped_classified: int = 0
     dropped_visited: int = 0
@@ -146,16 +149,6 @@ class BatchedRoundOutcome:
     task_outcomes: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int8)
     )
-
-    @property
-    def islands_found(self) -> int:
-        """Number of islands this round located."""
-        return len(self.islands)
-
-    @property
-    def nodes_islanded(self) -> int:
-        """Members across this round's islands."""
-        return sum(len(members) for members, _ in self.islands)
 
 
 def _first_occurrence(nbrs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -405,7 +398,7 @@ def _multi_source_bfs(
     scratch: np.ndarray,
     seeds: np.ndarray,
     seed_hubs: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Run every winning task's island BFS in one level-synchronous batch.
 
     All seeds lie in distinct untouched components, so the walks cannot
@@ -413,8 +406,9 @@ def _multi_source_bfs(
     owner afterwards reproduces each task's solo BFS member order and
     hub first-contact order exactly.
 
-    Returns ``(islands, scans, fetches, bytes)`` with per-owner arrays
-    aligned to ``seeds``.
+    Returns ``((members, member_offsets, hubs, hub_offsets), scans,
+    fetches, bytes)``: the islands as flat owner-grouped columns, and
+    per-owner arrays aligned to ``seeds``.
     """
     indptr, indices = graph.indptr, graph.indices
     num = len(seeds)
@@ -473,15 +467,7 @@ def _multi_source_bfs(
     hh = hh[h_order]
     h_counts = np.bincount(ho, minlength=num)
     h_offsets = cumsum0(h_counts)
-
-    islands = [
-        (
-            nodes[offsets[i]:offsets[i + 1]],
-            hh[h_offsets[i]:h_offsets[i + 1]],
-        )
-        for i in range(num)
-    ]
-    return islands, scans, fetches, nbytes
+    return (nodes, offsets, hh, h_offsets), scans, fetches, nbytes
 
 
 def execute_round_batched(
@@ -494,6 +480,7 @@ def execute_round_batched(
     task_seeds: np.ndarray,
     interhub_keys: np.ndarray,
     csr_lists: dict,
+    round_id: int,
 ) -> BatchedRoundOutcome:
     """Execute one round's TP-BFS task queue, batched.
 
@@ -505,7 +492,8 @@ def execute_round_batched(
     rounds.  ``csr_lists`` is a per-run cache dict the round fills with
     list-typed CSR copies the first time a round needs the plain-Python
     walker.  The outcome's per-task scans let the caller replay the
-    greedy engine dispatch in task order.
+    greedy engine dispatch in task order; its islands carry
+    ``round_id``.
     """
     n = graph.num_nodes
     num_tasks = len(task_seeds)
@@ -576,10 +564,12 @@ def execute_round_batched(
     win_pos = np.flatnonzero(winner)
     if len(win_pos):
         win_idx = bfs_idx[win_pos]
-        islands, scans, fetches, nbytes = _multi_source_bfs(
+        columns, scans, fetches, nbytes = _multi_source_bfs(
             graph, state, scratch, bfs_seeds[win_pos], task_hubs[win_idx]
         )
-        out.islands.extend(islands)
+        out.islands = IslandTable(
+            *columns, round_id=np.full(len(win_pos), round_id, dtype=np.int64)
+        )
         task_scans[win_idx] = scans
         task_fetches[win_idx] = fetches
         task_bytes[win_idx] = nbytes
@@ -594,6 +584,8 @@ def execute_round_batched(
     # edge scans.  Level-vectorized expansion only pays off when the
     # carve is long, so small caps use the per-edge bytearray walker.
     big_pos = np.flatnonzero(~small)
+    walk_members: list[np.ndarray] = []
+    walk_hubs: list[np.ndarray] = []
     if len(big_pos):
         levelwise = c_max >= _LEVELWISE_CMAX
         if not levelwise:
@@ -638,11 +630,19 @@ def execute_round_batched(
             if outcome is TaskOutcome.ISLAND:
                 # Unreachable for components larger than c_max, but the
                 # kernels are general; keep the result rather than assume.
-                out.islands.append((members, hubs))
+                walk_members.append(members)
+                walk_hubs.append(hubs)
             elif outcome is TaskOutcome.ALREADY_VISITED:
                 out.dropped_visited += 1
             else:
                 out.dropped_cmax += 1
+    if walk_members:
+        out.islands = IslandTable.concatenate([
+            out.islands,
+            IslandTable.from_lists(
+                np.full(len(walk_members), round_id), walk_members, walk_hubs
+            ),
+        ])
 
     out.task_scans = task_scans
     out.task_fetches = task_fetches

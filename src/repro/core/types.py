@@ -16,17 +16,19 @@ Terminology follows the paper (§3.1):
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
+from repro.core.nputil import cumsum0, flat_gather
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
     "Island",
+    "IslandTable",
     "RoundStats",
     "LocatorWork",
     "RoundOutput",
@@ -37,24 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Island:
-    """One located island.
+    """One located island: a frozen view of one :class:`IslandTable` row.
 
     ``members`` are in BFS discovery order — the order the Island
     Consumer uses as the local column layout (so pre-aggregation groups
     are formed over discovery-adjacent nodes).  ``hubs`` are the hub
     nodes attached to this island (the L-shape), in first-contact order.
 
-    An island's *id* is its position in ``IslandizationResult.islands``
-    — it is not stored on the object.  Storing it would be redundant
-    (the locator always assigns ids as a running list position) and
-    would force delta maintenance to rebuild every clean island whose
-    position shifts; with positional ids, unchanged islands are reused
-    by reference across incremental updates.
-
-    ``slots=True`` matters too: locator and maintenance paths construct
-    one ``Island`` per located island (millions at the large benchmark
-    tiers), and slotted instances skip the per-object ``__dict__``
-    allocation that otherwise dominates bulk construction.
+    An island's *id* is its position in the table — it is not stored
+    on the object.  Only the scalar oracles (the bitmap backend,
+    :meth:`IslandizationResult.validate`) and tests work per island;
+    everything else reads the table's columns.
     """
 
     round_id: int
@@ -70,27 +65,6 @@ class Island:
             raise IslandizationError("an island must have at least one member")
         if len(np.intersect1d(members, hubs)) != 0:
             raise IslandizationError("a node cannot be both member and hub")
-
-    @classmethod
-    def from_trusted_arrays(
-        cls,
-        round_id: int,
-        members: np.ndarray,
-        hubs: np.ndarray,
-    ) -> "Island":
-        """Construct without re-validating (locator-internal fast path).
-
-        The Island Locator produces members/hubs as disjoint ``int64``
-        arrays by construction (stamp arrays make overlap impossible),
-        so batch island construction skips the ``__post_init__``
-        coercion and intersection check.  External callers should use
-        the regular constructor.
-        """
-        island = object.__new__(cls)
-        object.__setattr__(island, "round_id", round_id)
-        object.__setattr__(island, "members", members)
-        object.__setattr__(island, "hubs", hubs)
-        return island
 
     @property
     def num_members(self) -> int:
@@ -110,28 +84,175 @@ class Island:
         """
         return np.concatenate([self.hubs, self.members])
 
-    def to_npz(self, file: str | IO[bytes]) -> None:
-        """Serialize one island (round as metadata, arrays verbatim)."""
-        write_npz(
-            file,
-            {"members": self.members, "hubs": self.hubs},
-            {"format": 2, "round_id": int(self.round_id)},
+
+@dataclass(frozen=True, eq=False)
+class IslandTable:
+    """Every island of an islandization as flat CSR-style columns.
+
+    Island ``i`` owns ``members[member_offsets[i]:member_offsets[i+1]]``
+    (BFS discovery order), ``hubs[hub_offsets[i]:hub_offsets[i+1]]``
+    (first-contact order) and ``round_id[i]``.  Its id is its position:
+    the locator assigns ids as a running count, so the table is the
+    locator's emission stream laid end to end, and a round's islands
+    are one contiguous slice.  These five columns are exactly the
+    format-2 archive layout, so serialization writes them as they are.
+    All columns are ``int64``.
+    """
+
+    members: np.ndarray
+    member_offsets: np.ndarray
+    hubs: np.ndarray
+    hub_offsets: np.ndarray
+    round_id: np.ndarray
+
+    @classmethod
+    def from_lists(
+        cls,
+        round_ids,
+        members: list[np.ndarray],
+        hubs: list[np.ndarray],
+    ) -> "IslandTable":
+        """Pack per-island arrays (the scalar oracle's one-island steps)."""
+        return cls(
+            members=_concat(members),
+            member_offsets=cumsum0([len(m) for m in members]),
+            hubs=_concat(hubs),
+            hub_offsets=cumsum0([len(h) for h in hubs]),
+            round_id=np.asarray(round_ids, dtype=np.int64).reshape(-1),
         )
 
     @classmethod
-    def from_npz(cls, file: str | IO[bytes]) -> "Island":
-        """Restore an island written by :meth:`to_npz`.
-
-        Accepts both the current archive layout and format-1 archives,
-        which carried the (positional, hence redundant) island id as
-        extra metadata.
-        """
-        arrays, meta = read_npz(file)
+    def concatenate(cls, tables) -> "IslandTable":
+        """Tables laid end to end (ids shift by the preceding lengths)."""
+        tables = list(tables)
         return cls(
-            round_id=int(meta["round_id"]),
-            members=arrays["members"],
-            hubs=arrays["hubs"],
+            members=_concat([t.members for t in tables]),
+            member_offsets=cumsum0(_concat([t.member_counts for t in tables])),
+            hubs=_concat([t.hubs for t in tables]),
+            hub_offsets=cumsum0(_concat([t.hub_counts for t in tables])),
+            round_id=_concat([t.round_id for t in tables]),
         )
+
+    def __len__(self) -> int:
+        return len(self.round_id)
+
+    def __getitem__(self, index):
+        """``table[i]`` → :class:`Island` view; ``table[lo:hi]`` → table."""
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(len(self))
+            if step != 1:
+                raise IndexError("island tables slice contiguously only")
+            hi = max(lo, hi)
+            m_lo, m_hi = self.member_offsets[lo], self.member_offsets[hi]
+            h_lo, h_hi = self.hub_offsets[lo], self.hub_offsets[hi]
+            return IslandTable(
+                members=self.members[m_lo:m_hi],
+                member_offsets=self.member_offsets[lo:hi + 1] - m_lo,
+                hubs=self.hubs[h_lo:h_hi],
+                hub_offsets=self.hub_offsets[lo:hi + 1] - h_lo,
+                round_id=self.round_id[lo:hi],
+            )
+        i = range(len(self))[index]
+        return Island(
+            round_id=int(self.round_id[i]),
+            members=self.members[self.member_offsets[i]:self.member_offsets[i + 1]],
+            hubs=self.hubs[self.hub_offsets[i]:self.hub_offsets[i + 1]],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def member_counts(self) -> np.ndarray:
+        """Members per island."""
+        return np.diff(self.member_offsets)
+
+    @property
+    def hub_counts(self) -> np.ndarray:
+        """Attached hubs per island."""
+        return np.diff(self.hub_offsets)
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """Each island's first member (its winning task's seed)."""
+        return self.members[self.member_offsets[:-1]]
+
+    def take(self, ids: np.ndarray) -> "IslandTable":
+        """The islands ``ids``, in that order (one segment gather)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        m_flat, m_counts, _ = flat_gather(self.member_offsets, ids)
+        h_flat, h_counts, _ = flat_gather(self.hub_offsets, ids)
+        return IslandTable(
+            members=self.members[m_flat],
+            member_offsets=cumsum0(m_counts),
+            hubs=self.hubs[h_flat],
+            hub_offsets=cumsum0(h_counts),
+            round_id=self.round_id[ids],
+        )
+
+    def relabel(self, mapping: np.ndarray) -> "IslandTable":
+        """Node ids mapped through ``mapping`` (e.g. local → global)."""
+        return replace(
+            self, members=mapping[self.members], hubs=mapping[self.hubs]
+        )
+
+    def equals(self, other: "IslandTable") -> bool:
+        """Column-wise exact equality (ids, rounds, member and hub order)."""
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _TABLE_COLUMNS
+        )
+
+    def check(self, num_nodes: int) -> None:
+        """Raise :class:`IslandizationError` unless the columns are well formed.
+
+        The boundary check for tables that arrive from outside the
+        locator (archives): CSR offsets, non-decreasing rounds, node
+        ids in range, non-empty islands, and no node that is both a
+        member and a hub of one island.
+        """
+        num = len(self)
+        for name, flat, offsets in (
+            ("member", self.members, self.member_offsets),
+            ("hub", self.hubs, self.hub_offsets),
+        ):
+            if len(offsets) != num + 1:
+                raise IslandizationError(
+                    f"island {name} offsets cover {len(offsets) - 1} islands, "
+                    f"rounds cover {num}"
+                )
+            if offsets[0] != 0 or offsets[-1] != len(flat):
+                raise IslandizationError(
+                    f"island {name} offsets must run from 0 to {len(flat)}"
+                )
+            if (np.diff(offsets) < 0).any():
+                raise IslandizationError(f"island {name} offsets decrease")
+            if len(flat) and (flat.min() < 0 or flat.max() >= num_nodes):
+                raise IslandizationError(
+                    f"island {name} id outside [0, {num_nodes})"
+                )
+        if (np.diff(self.round_id) < 0).any():
+            raise IslandizationError("island rounds decrease")
+        if (self.member_counts < 1).any():
+            raise IslandizationError("an island must have at least one member")
+        island_ids = np.arange(num, dtype=np.int64)
+        span = np.int64(max(num_nodes, 1))
+        member_keys = np.repeat(island_ids, self.member_counts) * span + self.members
+        hub_keys = np.repeat(island_ids, self.hub_counts) * span + self.hubs
+        if len(np.intersect1d(member_keys, hub_keys)) != 0:
+            raise IslandizationError("a node cannot be both member and hub")
+
+
+_TABLE_COLUMNS: tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(IslandTable)
+)
+
+
+def _concat(parts) -> np.ndarray:
+    """``int64`` concatenation; an empty list gives an empty array."""
+    if not len(parts):
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -218,14 +339,16 @@ class RoundOutput:
     production: :meth:`IslandLocator.stream` yields one ``RoundOutput``
     at each round boundary, carrying exactly the islands finalized that
     round plus the round's :class:`RoundStats` (the counters the cycle
-    model turns into release times).  ``islands`` are the same objects
-    that end up in the final :class:`IslandizationResult`, in the same
-    order, so a consumer that processes chunks as they arrive sees the
-    identical task sequence a staged consumer sees after the fact.
+    model turns into release times).  ``islands`` is the round's
+    :class:`IslandTable`: column for column the slice
+    ``[first_island_id, first_island_id + num_islands)`` of the final
+    :class:`IslandizationResult`'s table, so a consumer that processes
+    chunks as they arrive sees the identical task sequence a staged
+    consumer sees after the fact.
     """
 
     stats: RoundStats
-    islands: tuple[Island, ...]   # islands finalized this round, id order
+    islands: IslandTable          # islands finalized this round, id order
     new_hub_ids: np.ndarray       # hubs detected this round, append order
     first_island_id: int          # id of islands[0]; global task offset
 
@@ -254,7 +377,7 @@ class IslandizationResult:
     """
 
     graph: CSRGraph
-    islands: list[Island]
+    islands: IslandTable
     hub_ids: np.ndarray
     hub_round: np.ndarray          # round at which each hub_ids[i] was found
     interhub_edges: np.ndarray     # (E, 2) canonical (min, max) undirected pairs
@@ -287,8 +410,10 @@ class IslandizationResult:
         """Per-node label: island id, or -1 for hubs (cached)."""
         if self._membership is None:
             labels = -np.ones(self.graph.num_nodes, dtype=np.int64)
-            for island_id, island in enumerate(self.islands):
-                labels[island.members] = island_id
+            labels[self.islands.members] = np.repeat(
+                np.arange(self.num_islands, dtype=np.int64),
+                self.islands.member_counts,
+            )
             self._membership = labels
         return self._membership
 
@@ -306,16 +431,8 @@ class IslandizationResult:
         diagonal.  Returned in plain diagonal form; spy-plot code may
         flip an axis to match the paper's anti-diagonal rendering.
         """
-        order: list[np.ndarray] = []
-        if self.num_hubs:
-            by_round = np.argsort(self.hub_round, kind="stable")
-            order.append(self.hub_ids[by_round])
-        for island in self.islands:
-            order.append(island.members)
-        if order:
-            flat = np.concatenate(order)
-        else:
-            flat = np.zeros(0, dtype=np.int64)
+        by_round = np.argsort(self.hub_round, kind="stable")
+        flat = np.concatenate([self.hub_ids[by_round], self.islands.members])
         perm = np.empty(self.graph.num_nodes, dtype=np.int64)
         perm[flat] = np.arange(self.graph.num_nodes, dtype=np.int64)
         return perm
@@ -325,21 +442,22 @@ class IslandizationResult:
 
         Yields one :class:`RoundOutput` per entry of :attr:`rounds`
         (rounds that finalized no islands yield empty chunks), with the
-        same island objects, grouping and order a live
+        same island columns, grouping and order a live
         ``IslandLocator.stream`` run emits — the locator appends
         islands round-by-round, so island ``round_id``s are
         non-decreasing and each round's chunk is a contiguous slice.
         This is the streamed pipeline's path when the islandization
         comes out of an artifact cache instead of a live locator.
         """
-        round_ids = np.asarray([isl.round_id for isl in self.islands], dtype=np.int64)
+        table = self.islands
         start = 0
         for stats in self.rounds:
-            end = int(np.searchsorted(round_ids, stats.round_id, side="right"))
-            chunk = tuple(self.islands[start:end])
+            end = int(
+                np.searchsorted(table.round_id, stats.round_id, side="right")
+            )
             yield RoundOutput(
                 stats=stats,
-                islands=chunk,
+                islands=table[start:end],
                 new_hub_ids=self.hub_ids[self.hub_round == stats.round_id],
                 first_island_id=start,
             )
@@ -351,39 +469,26 @@ class IslandizationResult:
     def to_npz(self, file: str | IO[bytes]) -> None:
         """Serialize the full result as one npz archive.
 
-        Variable-length island members/hubs are packed as flat arrays
-        plus CSR-style offsets; rounds become one ``(num_rounds,
-        len(ROUND_FIELDS))`` integer matrix whose column order is
-        recorded in the metadata (so the layout survives field
-        evolution).  All numpy payloads round-trip byte-identically,
-        which keeps the restored ``graph.fingerprint()`` — and with it
-        every downstream cache key — stable.
+        The :class:`IslandTable` columns are written as they are;
+        rounds become one ``(num_rounds, len(ROUND_FIELDS))`` integer
+        matrix whose column order is recorded in the metadata (so the
+        layout survives field evolution).  All numpy payloads
+        round-trip byte-identically, which keeps the restored
+        ``graph.fingerprint()`` — and with it every downstream cache
+        key — stable.
         """
-        member_offsets = np.zeros(len(self.islands) + 1, dtype=np.int64)
-        hub_offsets = np.zeros(len(self.islands) + 1, dtype=np.int64)
-        for i, island in enumerate(self.islands):
-            member_offsets[i + 1] = member_offsets[i] + island.num_members
-            hub_offsets[i + 1] = hub_offsets[i] + island.num_hubs
-        empty = np.zeros(0, dtype=np.int64)
+        table = self.islands
         arrays = {
             "graph_indptr": self.graph.indptr,
             "graph_indices": self.graph.indices,
             "hub_ids": self.hub_ids,
             "hub_round": self.hub_round,
             "interhub_edges": self.interhub_edges,
-            "island_rounds": np.asarray(
-                [isl.round_id for isl in self.islands], dtype=np.int64
-            ),
-            "island_member_offsets": member_offsets,
-            "island_members_flat": (
-                np.concatenate([isl.members for isl in self.islands])
-                if self.islands else empty
-            ),
-            "island_hub_offsets": hub_offsets,
-            "island_hubs_flat": (
-                np.concatenate([isl.hubs for isl in self.islands])
-                if self.islands else empty
-            ),
+            "island_rounds": table.round_id,
+            "island_member_offsets": table.member_offsets,
+            "island_members_flat": table.members,
+            "island_hub_offsets": table.hub_offsets,
+            "island_hubs_flat": table.hubs,
             "rounds": np.asarray(
                 [[row[name] for name in ROUND_FIELDS]
                  for row in (r.as_row() for r in self.rounds)],
@@ -401,43 +506,26 @@ class IslandizationResult:
 
     @classmethod
     def from_npz(cls, file: str | IO[bytes]) -> "IslandizationResult":
-        """Restore a result written by :meth:`to_npz`."""
+        """Restore a result written by :meth:`to_npz`.
+
+        The island columns are checked where they enter
+        (:meth:`IslandTable.check`): a malformed archive raises
+        :class:`IslandizationError` instead of loading silently.
+        """
         arrays, meta = read_npz(file)
         graph = CSRGraph(
             indptr=arrays["graph_indptr"],
             indices=arrays["graph_indices"],
             name=str(meta["graph_name"]),
         )
-        m_off, h_off = arrays["island_member_offsets"], arrays["island_hub_offsets"]
-        members_flat = arrays["island_members_flat"]
-        hubs_flat = arrays["island_hubs_flat"]
-        # Batched Island.__post_init__: one pass over the flat arrays
-        # instead of a per-island constructor (which is quadratic in
-        # feel at a few hundred thousand islands).
-        if (np.diff(m_off) < 1).any():
-            raise IslandizationError("an island must have at least one member")
-        num_islands = len(m_off) - 1
-        span = int(
-            max(members_flat.max(initial=-1), hubs_flat.max(initial=-1))
-        ) + 1
-        member_keys = (
-            np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(m_off))
-            * span + members_flat
+        islands = IslandTable(
+            members=arrays["island_members_flat"],
+            member_offsets=arrays["island_member_offsets"],
+            hubs=arrays["island_hubs_flat"],
+            hub_offsets=arrays["island_hub_offsets"],
+            round_id=arrays["island_rounds"],
         )
-        hub_keys = (
-            np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(h_off))
-            * span + hubs_flat
-        )
-        if len(np.intersect1d(member_keys, hub_keys)) != 0:
-            raise IslandizationError("a node cannot be both member and hub")
-        islands = [
-            Island.from_trusted_arrays(
-                round_id=int(round_id),
-                members=members_flat[m_off[i]:m_off[i + 1]],
-                hubs=hubs_flat[h_off[i]:h_off[i + 1]],
-            )
-            for i, round_id in enumerate(arrays["island_rounds"])
-        ]
+        islands.check(graph.num_nodes)
         fields = [str(name) for name in meta["round_fields"]]
         rounds = [
             RoundStats(**{name: int(value) for name, value in zip(fields, row)})
@@ -463,9 +551,7 @@ class IslandizationResult:
     def validate(self) -> None:
         """Raise :class:`IslandizationError` if any invariant is broken."""
         n = self.graph.num_nodes
-        seen = np.zeros(n, dtype=np.int64)
-        for island in self.islands:
-            seen[island.members] += 1
+        seen = np.bincount(self.islands.members, minlength=n)
         seen[self.hub_ids] += 1
         if not np.all(seen == 1):
             bad = np.flatnonzero(seen != 1)[:5]
@@ -500,17 +586,9 @@ class IslandizationResult:
         contract the batched locator backend is held to against the
         scalar oracle.
         """
-        if len(self.islands) != len(other.islands):
-            return False
-        for a, b in zip(self.islands, other.islands):
-            if a.round_id != b.round_id:
-                return False
-            if not np.array_equal(a.members, b.members):
-                return False
-            if not np.array_equal(a.hubs, b.hubs):
-                return False
         return (
-            np.array_equal(self.hub_ids, other.hub_ids)
+            self.islands.equals(other.islands)
+            and np.array_equal(self.hub_ids, other.hub_ids)
             and np.array_equal(self.hub_round, other.hub_round)
             and np.array_equal(self.interhub_edges, other.interhub_edges)
             and self.rounds == other.rounds

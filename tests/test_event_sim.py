@@ -71,7 +71,7 @@ class TestCausality:
 
     def test_releases_inside_round_spans(self):
         sim = _run(_graph(), "event").event
-        for unit in sim.islands:
+        for unit in sim.units:
             r = unit.round_id - 1
             lo = sim.round_starts[r]
             hi = lo + sim.round_cycles[r]
@@ -84,7 +84,7 @@ class TestCausality:
         # primary PE is busy [start, completion] at minimum.
         sim = _run(_graph(), "event").event
         by_pe: dict[int, list[tuple[float, float]]] = {}
-        for unit in sim.islands:
+        for unit in sim.units:
             by_pe.setdefault(unit.pe, []).append(
                 (unit.start, unit.completion)
             )
@@ -135,7 +135,7 @@ class TestDeterminism:
         b = _run(graph, "event").event
         assert a.trace_bytes() == b.trace_bytes()
         assert a.makespan == b.makespan
-        assert a.islands == b.islands
+        assert a.units == b.units
 
     def test_percentiles_reproducible(self):
         graph = _graph()
@@ -174,13 +174,13 @@ class TestDegenerate:
 
     def test_empty_graph_has_no_latencies(self):
         sim = _run(_edge_graph(0), "event").event
-        assert len(sim.islands) == 0
+        assert len(sim.units) == 0
         assert sim.latency_percentile(50) is None
         assert sim.makespan == 0.0
 
     def test_single_island_latency_is_its_work(self):
         sim = _run(_edge_graph(1), "event").event
-        units = [u for u in sim.islands if u.island_id >= 0]
+        units = [u for u in sim.units if u.island_id >= 0]
         assert len(units) == 1
         # Alone on the array, every lane joins: completion - start can
         # shrink to work, never below it.
@@ -193,9 +193,9 @@ class TestDegenerate:
         sim = _run(
             _edge_graph(3, [0, 1, 1, 2, 2, 0], [1, 0, 2, 1, 0, 2]), "event"
         ).event
-        carriers = [u for u in sim.islands if u.island_id < 0]
+        carriers = [u for u in sim.units if u.island_id < 0]
         assert carriers
-        assert len(sim.latencies()) == len(sim.islands) - len(carriers)
+        assert len(sim.latencies()) == len(sim.units) - len(carriers)
         assert np.isclose(sim.work_total, sim.consumer_cycles)
 
 
@@ -303,9 +303,9 @@ class TestCorruptedTraces:
             validate_trace(_corrupt(sim, mutate))
 
     def test_tampered_record_rejected(self, sim):
-        units = list(sim.islands)
+        units = list(sim.units)
         units[0] = dataclasses.replace(units[0], work=units[0].work + 5.0)
-        bad = dataclasses.replace(sim, islands=tuple(units))
+        bad = dataclasses.replace(sim, units=tuple(units))
         with pytest.raises(SimulationError, match="event trace invalid"):
             validate_trace(bad)
 

@@ -25,6 +25,7 @@ from repro.core import (
     IGCNAccelerator,
     IslandConsumer,
     IslandLocator,
+    IslandTable,
     LocatorConfig,
 )
 from repro.core.consumer import execution_mismatch
@@ -38,6 +39,7 @@ from repro.models.reference import normalization_for
 from repro.serialize import config_digest
 
 BACKENDS = ("batched", "scalar")
+TABLE_COLUMNS = ("members", "member_offsets", "hubs", "hub_offsets", "round_id")
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +88,21 @@ class TestLocatorStream:
     def test_round_outputs_partition_islands(self, stream_graph):
         chunks = []
         result = IslandLocator().run(stream_graph, on_round=chunks.append)
-        flattened = [isl for chunk in chunks for isl in chunk.islands]
-        # Same objects, same order: the chunks are slices of the result.
-        assert [id(i) for i in flattened] == [id(i) for i in result.islands]
+        # Same columns, same order: the chunks are slices of the result.
+        flattened = IslandTable.concatenate(chunk.islands for chunk in chunks)
+        for name in TABLE_COLUMNS:
+            assert np.array_equal(
+                getattr(flattened, name), getattr(result.islands, name)
+            ), name
         for chunk in chunks:
             assert chunk.stats is result.rounds[chunk.round_id - 1]
-            for island in chunk.islands:
-                assert island.round_id == chunk.round_id
+            assert np.all(chunk.islands.round_id == chunk.round_id)
+            assert chunk.islands.equals(
+                result.islands[
+                    chunk.first_island_id:
+                    chunk.first_island_id + chunk.num_islands
+                ]
+            )
         hub_ids = np.concatenate([c.new_hub_ids for c in chunks])
         assert np.array_equal(hub_ids, result.hub_ids)
 
@@ -105,9 +115,10 @@ class TestLocatorStream:
             assert replay.round_id == live.round_id
             assert replay.stats == live.stats
             assert replay.first_island_id == live.first_island_id
-            assert [id(i) for i in replay.islands] == [
-                id(i) for i in live.islands
-            ]
+            for name in TABLE_COLUMNS:
+                assert np.array_equal(
+                    getattr(replay.islands, name), getattr(live.islands, name)
+                ), name
             assert np.array_equal(replay.new_hub_ids, live.new_hub_ids)
 
     def test_callback_sees_rounds_in_order(self, stream_graph):

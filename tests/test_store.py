@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import LocatorConfig
 from repro.core.islandizer import islandize
-from repro.core.types import ROUND_FIELDS, Island, IslandizationResult, LocatorWork, RoundStats
+from repro.core.types import ROUND_FIELDS, IslandizationResult, LocatorWork, RoundStats
 from repro.graph import CSRGraph, load_dataset
 from repro.graph.datasets import Dataset
 from repro.models import build_workload, gcn_model
@@ -98,16 +98,6 @@ class TestRoundTrips:
         assert_bytes_identical(graph.indices, restored.indices)
         assert restored.name == graph.name
         assert restored.fingerprint() == graph.fingerprint()
-
-    def test_island(self, islandization):
-        island = islandization.islands[0]
-        buf = io.BytesIO()
-        island.to_npz(buf)
-        buf.seek(0)
-        restored = Island.from_npz(buf)
-        assert restored.round_id == island.round_id
-        assert_bytes_identical(island.members, restored.members)
-        assert_bytes_identical(island.hubs, restored.hubs)
 
     def test_round_stats(self, islandization):
         stats = islandization.rounds[0]
