@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.consumer import IslandConsumer, LayerCounts
+from repro.core.consumer_batched import TaskBatch
 from repro.core.event_sim import EventSimResult, simulate_events
 from repro.core.interhub import build_interhub_plan
 from repro.core.islandizer import IslandLocator, islandize
@@ -196,6 +197,7 @@ class IGCNAccelerator:
         functional: bool = False,
         seed: int = 0,
         islandization: IslandizationResult | None = None,
+        task_batch: TaskBatch | None = None,
     ) -> IGCNReport:
         """Simulate one inference of ``model`` over ``graph``.
 
@@ -203,9 +205,27 @@ class IGCNAccelerator:
         requires ``features`` (dense or scipy-sparse); weights default
         to the deterministic Glorot initialisation shared with the
         reference implementation.
+
+        ``task_batch`` (batched backend only) is ``islandization``'s
+        packed :class:`~repro.core.consumer_batched.TaskBatch`, packed
+        with the model's self-loop flag — e.g. one the runtime Engine
+        carried across an incremental update.  The staged path consumes
+        it whole, the streamed and event paths as per-round slices, in
+        place of packing tasks here.  It is checked against the
+        islandization first; a mismatch raises :class:`SimulationError`.
         """
         if functional and features is None:
             raise SimulationError("functional mode requires features")
+        if task_batch is not None:
+            if islandization is None:
+                raise SimulationError(
+                    "task_batch needs the islandization it was packed from"
+                )
+            if self.consumer_config.backend != "batched":
+                raise SimulationError(
+                    "task_batch needs the batched consumer backend"
+                )
+            task_batch.check_matches(islandization.islands)
         # Event mode shares the streamed chunked execution path — the
         # per-round work tallies it measures feed the event schedule —
         # so counts/traffic/outputs stay byte-identical to streamed.
@@ -244,7 +264,16 @@ class IGCNAccelerator:
                     )
                 )
 
-            if result is None and self.locator_config.partitions == 1:
+            if task_batch is not None:
+                # Classify the whole batch once: every round slice (and
+                # any later splice of the batch) carries the classes.
+                task_batch.scan_classes(self.consumer_config.preagg_k)
+                chunks = [
+                    task_batch[c.first_island_id:
+                               c.first_island_id + c.num_islands]
+                    for c in result.iter_rounds()
+                ]
+            elif result is None and self.locator_config.partitions == 1:
                 result = IslandLocator(self.locator_config).run(
                     clean, on_round=assemble
                 )
@@ -263,7 +292,10 @@ class IGCNAccelerator:
             # Backend-appropriate task representation (packed TaskBatch
             # for the batched consumer, per-island bitmaps for the
             # scalar oracle), built once and shared by every layer.
-            tasks = consumer.prepare(result, add_self_loops=norm.add_self_loops)
+            tasks = (
+                task_batch if task_batch is not None
+                else consumer.prepare(result, add_self_loops=norm.add_self_loops)
+            )
 
         interhub = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
         meter = TrafficMeter()

@@ -37,7 +37,8 @@ which is the same left-fold the sequential loop performs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -75,17 +76,25 @@ def _empty() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
 
 
+#: :class:`ScanCounts` fields, in the row order of
+#: :attr:`_ScanClasses.task_counts`.
+_SCAN_FIELDS = tuple(f.name for f in fields(ScanCounts))
+
+
 @dataclass
 class _ScanClasses:
     """Cached per-k window classification of a whole :class:`TaskBatch`.
 
     Cells are laid out task-major, then group-major, then row:
-    ``cell_offsets[t] + g * L[t] + r``.  ``counts`` is the merged
-    :class:`ScanCounts` of every task (the scalar per-task merge is a
-    plain integer sum, so one bulk total is identical).
+    ``cell_offsets[t] + g * L[t] + r``.  ``task_counts`` holds each
+    task's :class:`ScanCounts` as one column (rows in field order);
+    :attr:`counts` is their column sum, the same integers the scalar
+    per-task merge adds up.  Every field is per task or a per-task
+    segment, so the classes travel with their tasks through
+    :meth:`TaskBatch.gather` and slicing instead of being recomputed.
     """
 
-    counts: ScanCounts
+    task_counts: np.ndarray      # (len(_SCAN_FIELDS), T)
     groups: np.ndarray           # (T,) windows-per-row of each task
     group_offsets: np.ndarray    # (T+1,)
     group_starts: np.ndarray     # flat per-(task, group) column starts
@@ -94,8 +103,105 @@ class _ScanClasses:
     full: np.ndarray             # flat bool per (task, group, row)
     subtract: np.ndarray
     direct: np.ndarray
-    sub_tasks: np.ndarray        # (T,) any subtract-class window
-    dir_tasks: np.ndarray        # (T,) any direct-class window
+
+    # Column layout read by _slice_columns / _gather_columns.
+    _TASK_COLUMNS = ("task_counts", "groups")
+    _SEGMENTS = {
+        "group_offsets": ("group_starts", "group_widths"),
+        "cell_offsets": ("full", "subtract", "direct"),
+    }
+
+    @property
+    def counts(self) -> ScanCounts:
+        """Merged :class:`ScanCounts` of every task."""
+        totals = self.task_counts.sum(axis=1)
+        return ScanCounts(**{
+            name: int(total) for name, total in zip(_SCAN_FIELDS, totals)
+        })
+
+    @cached_property
+    def sub_tasks(self) -> np.ndarray:
+        """(T,) tasks with any subtract-class window."""
+        return self.task_counts[_SCAN_FIELDS.index("windows_subtract")] > 0
+
+    @cached_property
+    def dir_tasks(self) -> np.ndarray:
+        """(T,) tasks with any direct-class window."""
+        return self.task_counts[_SCAN_FIELDS.index("windows_direct")] > 0
+
+
+class _GatherPlan:
+    """Output task ``i`` is task ``rows[i]`` of source ``which[i]``.
+
+    Output tasks that are consecutive tasks of one source form a run,
+    and every column is copied run by run as slices.  A splice keeps
+    its carried islands in long runs, so it copies a few hundred slices
+    and builds no per-element index arrays.
+    """
+
+    def __init__(self, which: np.ndarray, rows: np.ndarray) -> None:
+        self.size = len(rows)
+        starts = np.flatnonzero(np.concatenate((
+            [True], (which[1:] != which[:-1]) | (rows[1:] != rows[:-1] + 1)
+        )))[:self.size]
+        ends = np.append(starts[1:], self.size)
+        #: (source, first source row, output lo, output hi) per run.
+        self.runs = list(zip(
+            which[starts].tolist(), rows[starts].tolist(),
+            starts.tolist(), ends.tolist(),
+        ))
+
+    def tasks(self, columns: list[np.ndarray]) -> np.ndarray:
+        """One per-task column (tasks on the last axis), gathered."""
+        first = columns[0]
+        out = np.empty(first.shape[:-1] + (self.size,), dtype=first.dtype)
+        for s, row, lo, hi in self.runs:
+            out[..., lo:hi] = columns[s][..., row:row + hi - lo]
+        return out
+
+    def segments(self, offsets: list[np.ndarray], flats: list[list[np.ndarray]]):
+        """``(offsets, [flat, ...])`` of per-task segments, gathered.
+
+        ``offsets[s]`` partitions every ``flats[c][s]`` of source ``s``.
+        """
+        new_offsets = _cumsum0(self.tasks([np.diff(o) for o in offsets]))
+        total = int(new_offsets[-1])
+        outs = [np.empty(total, dtype=column[0].dtype) for column in flats]
+        for s, row, lo, hi in self.runs:
+            src_lo, src_hi = offsets[s][row], offsets[s][row + hi - lo]
+            dst_lo = new_offsets[lo]
+            for out, column in zip(outs, flats):
+                out[dst_lo:dst_lo + src_hi - src_lo] = column[s][src_lo:src_hi]
+        return new_offsets, outs
+
+
+def _slice_columns(obj, lo: int, hi: int) -> dict:
+    """Columns of tasks ``[lo, hi)``: views, only the offsets rebased."""
+    cols = {name: getattr(obj, name)[..., lo:hi] for name in obj._TASK_COLUMNS}
+    for offsets_name, flat_names in obj._SEGMENTS.items():
+        offsets = getattr(obj, offsets_name)
+        base, end = offsets[lo], offsets[hi]
+        cols[offsets_name] = offsets[lo:hi + 1] - base
+        for name in flat_names:
+            cols[name] = getattr(obj, name)[base:end]
+    return cols
+
+
+def _gather_columns(sources: list, plan: _GatherPlan) -> dict:
+    """Columns of the tasks ``plan`` picks from ``sources``."""
+    layout = sources[0]
+    cols = {
+        name: plan.tasks([getattr(s, name) for s in sources])
+        for name in layout._TASK_COLUMNS
+    }
+    for offsets_name, flat_names in layout._SEGMENTS.items():
+        offsets, flats = plan.segments(
+            [getattr(s, offsets_name) for s in sources],
+            [[getattr(s, name) for s in sources] for name in flat_names],
+        )
+        cols[offsets_name] = offsets
+        cols.update(zip(flat_names, flats))
+    return cols
 
 
 @dataclass
@@ -117,8 +223,7 @@ class TaskBatch:
     local_offsets: np.ndarray    # (T+1,)
     hub_nodes: np.ndarray        # flat attached-hub ids per task
     hub_offsets: np.ndarray      # (T+1,)
-    entry_task: np.ndarray       # COO bitmap entries (local coordinates)
-    entry_row: np.ndarray
+    entry_row: np.ndarray        # COO bitmap entries (local coordinates)
     entry_col: np.ndarray
     entry_offsets: np.ndarray    # (T+1,) per-task COO slices
     nnz: np.ndarray              # (T,) directed entries per task
@@ -126,10 +231,126 @@ class TaskBatch:
         default_factory=dict, repr=False
     )
 
+    # Column layout read by _slice_columns / _gather_columns.
+    _TASK_COLUMNS = ("num_hubs", "num_locals", "nnz")
+    _SEGMENTS = {
+        "local_offsets": ("local_nodes",),
+        "hub_offsets": ("hub_nodes",),
+        "entry_offsets": ("entry_row", "entry_col"),
+    }
+
     @property
     def num_tasks(self) -> int:
         """Number of island tasks in the batch."""
         return len(self.num_hubs)
+
+    @property
+    def entry_task(self) -> np.ndarray:
+        """Task of every COO entry (derived from ``nnz``, not stored)."""
+        return np.repeat(np.arange(self.num_tasks, dtype=np.int64), self.nnz)
+
+    # ------------------------------------------------------------------
+    # Reuse: slices, gathers and splices carry cached window classes
+    # ------------------------------------------------------------------
+    def __getitem__(self, index: slice) -> "TaskBatch":
+        """``batch[lo:hi]``: tasks ``lo..hi-1`` as views of this batch.
+
+        Only the offsets are rebased.  Every cached window
+        classification is sliced along, so a per-round slice of a
+        classified batch never re-classifies.
+        """
+        lo, hi, step = index.indices(self.num_tasks)
+        if step != 1:
+            raise IndexError("task batches slice contiguously only")
+        hi = max(lo, hi)
+        classes = {
+            k: _ScanClasses(**_slice_columns(c, lo, hi))
+            for k, c in self._scan_cache.items()
+        }
+        return TaskBatch(**_slice_columns(self, lo, hi), _scan_cache=classes)
+
+    @classmethod
+    def gather(cls, sources: list["TaskBatch"], which, rows) -> "TaskBatch":
+        """Tasks picked from several batches.
+
+        Output task ``i`` is task ``rows[i]`` of ``sources[which[i]]``.
+        Each column is copied once, slice by slice, from its sources;
+        no concatenation of the sources is built first.  A window
+        classification cached for some ``k`` in every source travels
+        along.
+        """
+        plan = _GatherPlan(
+            np.asarray(which, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+        )
+        shared = set.intersection(*(set(s._scan_cache) for s in sources))
+        classes = {
+            k: _ScanClasses(**_gather_columns(
+                [s._scan_cache[k] for s in sources], plan
+            ))
+            for k in sorted(shared)
+        }
+        return cls(**_gather_columns(sources, plan), _scan_cache=classes)
+
+    def take(self, ids) -> "TaskBatch":
+        """The tasks ``ids``, in that order (cf. ``IslandTable.take``)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return TaskBatch.gather([self], np.zeros(len(ids), np.int64), ids)
+
+    def splice(self, graph, islands: IslandTable, source, *,
+               add_self_loops: bool) -> "TaskBatch":
+        """This batch carried over to a successor islandization.
+
+        ``islands`` is the successor's table over ``graph``; ``source``
+        gives, per island, its task row in this batch, or -1 for an
+        island that must be packed afresh (an incremental update's
+        ``island_source``).  An island's task depends only on its
+        members' rows and its hubs, so a carried row is exactly what
+        :meth:`from_islands` would pack; only the ``-1`` islands are
+        packed, and classified for every ``k`` this batch has cached.
+        """
+        source = np.asarray(source, dtype=np.int64)
+        fresh_ids = np.flatnonzero(source < 0)
+        if not len(fresh_ids) and np.array_equal(
+            source, np.arange(self.num_tasks)
+        ):
+            return self
+        fresh = TaskBatch.from_islands(
+            graph, islands.take(fresh_ids), add_self_loops=add_self_loops
+        )
+        for k in self._scan_cache:
+            fresh.scan_classes(k)
+        rows = source.copy()
+        rows[fresh_ids] = np.arange(len(fresh_ids), dtype=np.int64)
+        return TaskBatch.gather([self, fresh], source < 0, rows)
+
+    def check_matches(self, islands: IslandTable) -> None:
+        """Raise :class:`SimulationError` unless this packs ``islands``.
+
+        An O(islands + members + hubs) guard for batches served from a
+        cache: task count, per-task hub counts and hub ids, and the
+        member part of every task's local order must be the table's.
+        """
+        member_counts = islands.member_counts
+        same = (
+            self.num_tasks == len(islands)
+            and np.array_equal(self.num_hubs, islands.hub_counts)
+            and np.array_equal(self.num_locals - self.num_hubs, member_counts)
+            and np.array_equal(self.hub_nodes, islands.hubs)
+        )
+        if same:
+            rank = (
+                np.arange(len(islands.members), dtype=np.int64)
+                - np.repeat(islands.member_offsets[:-1], member_counts)
+            )
+            positions = np.repeat(
+                self.local_offsets[:-1] + self.num_hubs, member_counts
+            ) + rank
+            same = np.array_equal(self.local_nodes[positions], islands.members)
+        if not same:
+            raise SimulationError(
+                "packed task batch does not match the islandization it "
+                "is served with"
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -344,7 +565,7 @@ class TaskBatch:
             num_hubs=num_hubs, num_locals=num_locals,
             local_nodes=local_nodes, local_offsets=local_offsets,
             hub_nodes=hub_nodes, hub_offsets=hub_offsets,
-            entry_task=entry_task, entry_row=entry_row, entry_col=entry_col,
+            entry_row=entry_row, entry_col=entry_col,
             entry_offsets=_cumsum0(nnz), nnz=nnz,
         )
 
@@ -388,24 +609,30 @@ class TaskBatch:
         cell_widths = np.repeat(group_widths, self.num_locals[group_task])
         full, subtract, direct, cost = classify_windows(z, cell_widths)
 
-        counts = ScanCounts(
-            baseline_ops=int(z.sum()),
-            scan_ops=int(cost.sum()),
-            preagg_build_ops=int(np.maximum(group_widths - 1, 0).sum()),
-            windows_full=int(full.sum()),
-            windows_subtract=int(subtract.sum()),
-            windows_direct=int(direct.sum()),
-            windows_skipped=int((z == 0).sum()),
-        )
-        cell_task = np.repeat(np.arange(num_tasks, dtype=np.int64),
-                              cells_per_task)
-        sub_tasks = np.bincount(cell_task[subtract], minlength=num_tasks) > 0
-        dir_tasks = np.bincount(cell_task[direct], minlength=num_tasks) > 0
+        def per_task(values, offsets):
+            # Every task has >= 1 group and >= 1 row, so no segment is
+            # empty and reduceat's segment sums are exact.
+            if not num_tasks:
+                return _empty()
+            return np.add.reduceat(values, offsets[:-1], dtype=np.int64)
+
+        per_field = {
+            "baseline_ops": per_task(z, cell_offsets),
+            "scan_ops": per_task(cost, cell_offsets),
+            "preagg_build_ops": per_task(
+                np.maximum(group_widths - 1, 0), group_offsets
+            ),
+            "windows_full": per_task(full, cell_offsets),
+            "windows_subtract": per_task(subtract, cell_offsets),
+            "windows_direct": per_task(direct, cell_offsets),
+            "windows_skipped": per_task(z == 0, cell_offsets),
+        }
         classes = _ScanClasses(
-            counts=counts, groups=groups, group_offsets=group_offsets,
+            task_counts=np.stack([per_field[f] for f in _SCAN_FIELDS]),
+            groups=groups, group_offsets=group_offsets,
             group_starts=group_starts, group_widths=group_widths,
             cell_offsets=cell_offsets, full=full, subtract=subtract,
-            direct=direct, sub_tasks=sub_tasks, dir_tasks=dir_tasks,
+            direct=direct,
         )
         self._scan_cache[k] = classes
         return classes

@@ -236,6 +236,12 @@ class IncrementalUpdate:
     ``result``/``state`` are always for the mutated graph, whether the
     incremental path ran or the update fell back to a full (recording)
     rebuild; ``fallback_reason`` says why when it did.
+
+    ``island_source`` maps each new island to its row in the cached
+    result's table, or -1 for an island the sub-run produced: a row
+    that is not -1 is an island no edit touched, whose packed task
+    can be carried over (``TaskBatch.splice``).  It is ``None`` after
+    a fallback, which re-records from scratch.
     """
 
     result: IslandizationResult
@@ -244,6 +250,7 @@ class IncrementalUpdate:
     fallback_reason: str | None
     dirty_nodes: int
     region_nodes: int
+    island_source: np.ndarray | None = None
 
 
 # ----------------------------------------------------------------------
@@ -710,7 +717,7 @@ def _splice_islands(
     sub: _SubRun,
     n: int,
     r_new: int,
-) -> tuple[IslandTable, np.ndarray]:
+) -> tuple[IslandTable, np.ndarray, np.ndarray]:
     """Merge clean islands with the sub-run's, in full-run order.
 
     The full run emits isolated-node singletons first (ascending node
@@ -722,7 +729,8 @@ def _splice_islands(
     dirty).  Sorting the union by ``(round, is_tp, key)`` therefore
     reproduces the full run's island order exactly.  Returns the new
     island table (one segment gather over the cached table followed by
-    the sub-run's) plus its winner hubs.
+    the sub-run's), its winner hubs and each new island's row in the
+    cached table (-1 for a sub-run island).
     """
     clean, fresh = cached.islands, sub.islands
     clean_idx = np.flatnonzero(~dn_mask[clean.seeds])
@@ -750,8 +758,9 @@ def _splice_islands(
     )
     key = np.where(is_tp, winners_all * np.int64(n) + seeds_all, seeds_all)
     order = np.lexsort((key, is_tp, rounds_all))
-    table = IslandTable.concatenate([clean, fresh]).take(refs_all[order])
-    return table, winners_all[order]
+    refs = refs_all[order]
+    table = IslandTable.concatenate([clean, fresh]).take(refs)
+    return table, winners_all[order], np.where(refs < len(clean), refs, -1)
 
 
 def _full_rebuild(
@@ -833,6 +842,7 @@ def update_islandization(
         return IncrementalUpdate(
             result=result, state=state, fallback=False,
             fallback_reason=None, dirty_nodes=0, region_nodes=0,
+            island_source=np.arange(len(cached.islands), dtype=np.int64),
         )
 
     n = old_graph.num_nodes
@@ -903,7 +913,7 @@ def update_islandization(
         len(state.winner_hubs) == len(cached.islands),
         "island metadata does not cover the cached islands",
     )
-    islands_out, isl_winner = _splice_islands(
+    islands_out, isl_winner, island_source = _splice_islands(
         cached, state, dn_mask, sub, n, r_new
     )
     _check(
@@ -1109,4 +1119,5 @@ def update_islandization(
         fallback_reason=None,
         dirty_nodes=dirty_nodes,
         region_nodes=len(region),
+        island_source=island_source,
     )

@@ -204,6 +204,8 @@ class PartitionedIncrementalUpdate:
     engine and CLI read the shared fields blind — plus ``dirty_shards``:
     the shards that did real work (shard-local update or re-record);
     empty for a no-op delta, the whole fleet on fallback.
+    ``island_source`` is always ``None``: shard-routed updates do not
+    track which islands they carried over.
     """
 
     result: IslandizationResult
@@ -213,6 +215,7 @@ class PartitionedIncrementalUpdate:
     dirty_nodes: int
     region_nodes: int
     dirty_shards: tuple[int, ...]
+    island_source: None = None
 
 
 def load_ilstate(file: str | IO[bytes]):

@@ -39,6 +39,7 @@ from repro.models.configs import ModelConfig
 
 __all__ = [
     "NormalizationSpec",
+    "adds_self_loops",
     "normalization_for",
     "normalized_adjacency",
     "init_weights",
@@ -64,15 +65,28 @@ class NormalizationSpec:
     self_weight: float
 
 
+#: Whether each aggregation kind runs on ``A + I`` (the table above).
+_ADDS_SELF_LOOPS = {"gcn-sym": True, "sage-mean": True, "gin-sum": False}
+
+
+def adds_self_loops(kind: str) -> bool:
+    """Whether aggregation ``kind`` runs on ``A + I`` (needs no graph)."""
+    try:
+        return _ADDS_SELF_LOOPS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown aggregation kind {kind!r}") from None
+
+
 def normalization_for(graph: CSRGraph, kind: str, *, gin_eps: float = 0.0) -> NormalizationSpec:
     """Build the factorised normalisation for ``graph`` and ``kind``."""
+    self_loops = adds_self_loops(kind)
     degrees = graph.without_self_loops().degrees.astype(np.float64)
     if kind == "gcn-sym":
         dhat = degrees + 1.0
         inv_sqrt = 1.0 / np.sqrt(dhat)
         return NormalizationSpec(
             kind=kind,
-            add_self_loops=True,
+            add_self_loops=self_loops,
             source_scale=inv_sqrt,
             target_scale=inv_sqrt,
             self_weight=0.0,
@@ -82,21 +96,19 @@ def normalization_for(graph: CSRGraph, kind: str, *, gin_eps: float = 0.0) -> No
         ones = np.ones_like(dhat)
         return NormalizationSpec(
             kind=kind,
-            add_self_loops=True,
+            add_self_loops=self_loops,
             source_scale=ones,
             target_scale=1.0 / dhat,
             self_weight=0.0,
         )
-    if kind == "gin-sum":
-        ones = np.ones(graph.num_nodes, dtype=np.float64)
-        return NormalizationSpec(
-            kind=kind,
-            add_self_loops=False,
-            source_scale=ones,
-            target_scale=ones,
-            self_weight=1.0 + gin_eps,
-        )
-    raise ConfigError(f"unknown aggregation kind {kind!r}")
+    ones = np.ones(graph.num_nodes, dtype=np.float64)  # gin-sum
+    return NormalizationSpec(
+        kind=kind,
+        add_self_loops=self_loops,
+        source_scale=ones,
+        target_scale=ones,
+        self_weight=1.0 + gin_eps,
+    )
 
 
 def normalized_adjacency(graph: CSRGraph, kind: str, *, gin_eps: float = 0.0):

@@ -39,6 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterable, Sequence
 
 from repro.core.config import ConsumerConfig, LocatorConfig
+from repro.core.consumer_batched import TaskBatch
 from repro.core.islandizer import islandize
 from repro.core.islandizer_incremental import (
     IncrementalState,
@@ -87,6 +88,11 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     share a name.
     """
     return graph.fingerprint()
+
+
+def _islandization_key(clean: CSRGraph, config: LocatorConfig) -> str:
+    """Cache key of the islandization of ``clean`` under ``config``."""
+    return f"{graph_fingerprint(clean)}|loc={config_digest(config)}"
 
 
 def _model_for(ds: Dataset, spec: str, default_variant: str = "algo") -> ModelConfig:
@@ -153,6 +159,9 @@ class Engine:
         self._stats: dict[str, CacheStats] = {n: CacheStats() for n in _CACHE_NAMES}
         self._fleets: dict[str, ShardFleet] = {}
         self._degradations: list[dict[str, Any]] = []
+        #: The one retained packed-task batch: (islandization key,
+        #: add_self_loops, TaskBatch); see :meth:`packed_tasks`.
+        self._packed: tuple[str, bool, TaskBatch] | None = None
 
     def close(self) -> None:
         """Shut down any warm shard fleets this engine spawned.
@@ -160,12 +169,14 @@ class Engine:
         Fleets (worker pools for partitioned incremental updates) are
         created lazily by :meth:`update` and kept warm for chaining;
         they hold OS resources, so long-lived callers should close the
-        engine when done.  Safe to call repeatedly; the engine remains
-        usable (fleets respawn on demand).
+        engine when done.  The retained packed-task batch is dropped
+        too.  Safe to call repeatedly; the engine remains usable
+        (fleets respawn on demand).
         """
         for fleet in self._fleets.values():
             fleet.close()
         self._fleets.clear()
+        self._packed = None
 
     def __enter__(self) -> "Engine":
         return self
@@ -217,7 +228,8 @@ class Engine:
         """Drop cached artifacts and reset the counters.
 
         By default only non-persistent tiers are cleared (the seed
-        behaviour: reset this process's memoization).  The disk tier
+        behaviour: reset this process's memoization), together with
+        the retained packed-task batch.  The disk tier
         may be shared with concurrent workers, other invocations or
         other hosts, so destroying it requires ``disk=True`` (the CLI
         equivalent is ``repro cache clear``).
@@ -232,6 +244,7 @@ class Engine:
         for name in _CACHE_NAMES:
             self._stats[name].hits = 0
             self._stats[name].misses = 0
+        self._packed = None
 
     def _merge_stats(self, delta: dict[str, tuple[int, int]]) -> None:
         """Fold a worker's (hits, misses) deltas into this engine's stats."""
@@ -313,7 +326,7 @@ class Engine:
         if config.incremental:
             return self.islandization_state(graph, config)[0]
         clean = self.clean_graph(graph)
-        key = f"{graph_fingerprint(clean)}|loc={config_digest(config)}"
+        key = _islandization_key(clean, config)
         return self._memo(
             "islandization", key,
             lambda: islandize(clean, config, store=self.store),
@@ -350,7 +363,7 @@ class Engine:
                 "cache key)"
             )
         clean = self.clean_graph(graph)
-        key = f"{graph_fingerprint(clean)}|loc={config_digest(config)}"
+        key = _islandization_key(clean, config)
         result = self.store.get("islandization", key)
         state = self.store.get("ilstate", key)
         if result is not MISS and state is not MISS:
@@ -393,6 +406,13 @@ class Engine:
         which case the delta runs through this engine's warm
         :class:`~repro.core.islandizer_pincremental.ShardFleet` so
         chained updates reuse one worker pool (see :meth:`close`).
+
+        When the engine retains the parent's packed tasks (see
+        :meth:`packed_tasks`) and the update reports which islands it
+        carried over, the retained batch is spliced forward to the
+        mutated graph: only the islands the update re-ran are packed.
+        Otherwise the retained batch is dropped, and the next
+        :meth:`simulate` packs and retains the mutated graph's.
         """
         config = config or self.locator_config
         cached, state = self.islandization_state(graph, config)
@@ -410,11 +430,66 @@ class Engine:
                 max_dirty_fraction=max_dirty_fraction, applied=applied,
             )
         new_graph = upd.result.graph
-        new_key = f"{graph_fingerprint(new_graph)}|loc={config_digest(config)}"
+        new_key = _islandization_key(new_graph, config)
         self.store.put("clean_graph", graph_fingerprint(new_graph), new_graph)
         self.store.put("islandization", new_key, upd.result)
         self.store.put("ilstate", new_key, upd.state)
+        # Splice the retained batch forward or drop it: a batch for any
+        # other graph is never served again along this chain, and
+        # holding it would only raise the peak of the next re-pack.
+        packed, self._packed = self._packed, None
+        if (
+            packed is not None
+            and packed[0] == _islandization_key(clean, config)
+            and upd.island_source is not None
+            and self._retains_tasks(config, self.consumer_config)
+        ):
+            _, self_loops, batch = packed
+            self._packed = (new_key, self_loops, batch.splice(
+                new_graph, upd.result.islands, upd.island_source,
+                add_self_loops=self_loops,
+            ))
         return upd
+
+    @staticmethod
+    def _retains_tasks(config: LocatorConfig, consumer: ConsumerConfig) -> bool:
+        """Whether runs under these configs use the packed-task slot."""
+        return (
+            config.incremental and config.partitions == 1
+            and consumer.backend == "batched"
+        )
+
+    def packed_tasks(
+        self,
+        result: IslandizationResult,
+        config: LocatorConfig,
+        consumer: ConsumerConfig,
+        *,
+        add_self_loops: bool,
+    ) -> TaskBatch | None:
+        """``result``'s packed task batch, from the one retained slot.
+
+        Only incremental, single-partition locator configs with the
+        batched consumer use the slot (``None`` otherwise: the run
+        packs its own tasks).  A hit returns the retained batch; a miss
+        packs ``result`` whole and retains it in place of the previous
+        batch, so the next :meth:`update` from ``result``'s graph can
+        splice it forward instead of re-packing every island.  The slot
+        is keyed by the islandization cache key and the self-loop flag.
+        It holds one batch, not one per cached state: the memory store
+        keeps every state of an update chain, and a batch per state
+        would grow with the chain.
+        """
+        if not self._retains_tasks(config, consumer):
+            return None
+        key = _islandization_key(result.graph, config)
+        packed = self._packed
+        if packed is not None and packed[:2] == (key, add_self_loops):
+            return packed[2]
+        self._packed = None  # release the stale batch before packing
+        batch = TaskBatch.from_result(result, add_self_loops=add_self_loops)
+        self._packed = (key, add_self_loops, batch)
+        return batch
 
     def workload(
         self, graph: CSRGraph, model: ModelConfig, *, feature_density: float = 1.0

@@ -37,6 +37,7 @@ from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.hw.config import IGCN_DEFAULT, HardwareConfig
 from repro.models.configs import ModelConfig
+from repro.models.reference import adds_self_loops
 from repro.report import BaseReport
 
 __all__ = [
@@ -76,7 +77,9 @@ class IGCNSimulator:
     When an ``engine`` is supplied, the islandization is fetched from
     (and stored in) the engine's artifact cache, so repeated
     simulations of the same graph — different models, variants, or
-    sweep cells — islandize exactly once.
+    sweep cells — islandize exactly once.  The engine also serves the
+    islandization's packed tasks when it retains them (see
+    :meth:`Engine.packed_tasks <repro.runtime.engine.Engine.packed_tasks>`).
     """
 
     name = "igcn"
@@ -129,15 +132,22 @@ class IGCNSimulator:
                 accelerator = IGCNAccelerator(
                     hw=self._hw, locator=locator, consumer=consumer
                 )
+        task_batch = None
         if islandization is None and engine is not None:
             islandization = engine.islandization(
                 graph, accelerator.locator_config
+            )
+            task_batch = engine.packed_tasks(
+                islandization, accelerator.locator_config,
+                accelerator.consumer_config,
+                add_self_loops=adds_self_loops(model.aggregation),
             )
         return accelerator.run(
             graph,
             model,
             feature_density=feature_density,
             islandization=islandization,
+            task_batch=task_batch,
             **opts,
         )
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import CSRGraph
+from repro.graph.csr import GraphDelta
 
 
 @st.composite
@@ -28,6 +29,41 @@ def graphs_with_nodes(draw, max_nodes=30, max_edges=90):
     )
     nodes = sorted(draw(st.sets(st.integers(0, n - 1))))
     return graph, np.asarray(nodes, dtype=np.int64)
+
+
+@st.composite
+def graphs_with_deltas(draw, max_nodes=24, max_edges=70, max_edits=30):
+    """A canonical graph (no self-loops) plus a valid delta against it.
+
+    Insertions may repeat existing edges and deletions may name absent
+    ones (both are no-ops); no undirected edge is on both sides.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(pair, max_size=max_edges))
+    graph = CSRGraph.from_edges(
+        n,
+        np.asarray([u for u, _ in edges], dtype=np.int64),
+        np.asarray([v for _, v in edges], dtype=np.int64),
+        name="base",
+    )
+    existing = [(int(k) // n, int(k) % n) for k in graph.edge_keys()]
+    deletions = draw(st.lists(
+        st.sampled_from(existing) | pair if existing else pair,
+        max_size=max_edits,
+    ))
+    gone = {frozenset(e) for e in deletions}
+    insertions = [
+        e for e in draw(st.lists(pair, max_size=max_edits))
+        if frozenset(e) not in gone
+    ]
+    delta = GraphDelta.from_edges(
+        insertions=np.asarray(insertions, dtype=np.int64).reshape(-1, 2),
+        deletions=np.asarray(deletions, dtype=np.int64).reshape(-1, 2),
+    )
+    return graph, insertions, deletions, delta
 
 
 class TestConstruction:
@@ -209,3 +245,52 @@ class TestSubgraph:
         dense = fig2.to_dense()
         assert dense.sum() == fig2.num_edges
         assert np.array_equal(dense, dense.T)
+
+
+class TestApplyDelta:
+    """``apply_delta`` output is the canonical graph of the mutated edges.
+
+    Incremental islandization and the packed-task splice both rely on
+    this: an island's task is rebuilt from its members' rows, so a row
+    an edit did not touch must come out of the delta byte-identical.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_deltas())
+    def test_matches_from_edges_on_mutated_edge_list(self, case):
+        graph, insertions, deletions, delta = case
+        n = graph.num_nodes
+        edges = {frozenset((int(k) // n, int(k) % n)) for k in graph.edge_keys()}
+        edges |= {frozenset(e) for e in insertions}
+        edges -= {frozenset(e) for e in deletions}
+        pairs = np.asarray([sorted(e) for e in edges], dtype=np.int64).reshape(-1, 2)
+        expected = CSRGraph.from_edges(n, pairs[:, 0], pairs[:, 1], name="base")
+
+        mutated, ins_eff, del_eff = graph.apply_delta(delta, with_changes=True)
+        assert mutated.name == graph.name
+        assert mutated.indptr.dtype == expected.indptr.dtype
+        assert mutated.indices.dtype == expected.indices.dtype
+        assert np.array_equal(mutated.indptr, expected.indptr)
+        assert np.array_equal(mutated.indices, expected.indices)
+        assert mutated.fingerprint() == expected.fingerprint()
+
+        # Effective changes: exactly the directed keys that flipped.
+        before, after = set(graph.edge_keys().tolist()), set(mutated.edge_keys().tolist())
+        assert ins_eff.tolist() == sorted(after - before)
+        assert del_eff.tolist() == sorted(before - after)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_deltas())
+    def test_output_is_canonical(self, case):
+        graph, _, _, delta = case
+        mutated = graph.apply_delta(delta)
+        rows = np.repeat(
+            np.arange(mutated.num_nodes, dtype=np.int64), mutated.degrees
+        )
+        assert mutated.indptr[0] == 0
+        assert mutated.indptr[-1] == len(mutated.indices)
+        # Rows sorted with no duplicates: keys strictly increase.
+        keys = rows * mutated.num_nodes + mutated.indices
+        assert np.all(np.diff(keys) > 0)
+        assert not np.any(rows == mutated.indices)  # no diagonal
+        assert mutated.is_symmetric()
